@@ -92,7 +92,7 @@ OP_BUCKETS: Tuple[float, ...] = (
 )
 
 #: Phase-name convention: names containing ``/`` (``mem/access``,
-#: ``mem/l1``) are *nested* inside a top-level phase and are excluded
+#: ``mem/dram``) are *nested* inside a top-level phase and are excluded
 #: from the coverage total, so wall-time is never double-counted.
 NESTED_SEP = "/"
 

@@ -7,8 +7,8 @@ fleet worker against a serial run — a pass/fail cycle comparison says
 cheap to capture and mechanical to find:
 
 * :class:`StateDigester` — guarded hooks in the simulator hot path
-  (:mod:`repro.sim.gpu` issue/stall accounting, :mod:`repro.sim.memory`
-  accesses, :mod:`repro.sim.cache` lookups, :mod:`repro.sim.stats`
+  (:mod:`repro.sim.gpu` issue/stall accounting and per-kernel cache
+  counts, :mod:`repro.sim.memory` accesses, :mod:`repro.sim.stats`
   merges) fold architectural state into **rolling 64-bit digests**, one
   stream per ``(core, warp)`` closed every ``interval_cycles`` simulated
   cycles.  The result is a per-job **digest ledger**: an ordered list of
@@ -101,7 +101,7 @@ class StateDigester:
     """Rolling per-interval digests of simulated architectural state.
 
     The simulator calls :meth:`note_issue` / :meth:`note_stall` /
-    :meth:`note_mem` / :meth:`note_cache` only after hoisting
+    :meth:`note_mem` only after hoisting
     :attr:`enabled` into a local (the PhaseProfiler guard discipline),
     so a disabled digester costs one comparison per instrumented
     section and a job's summary is byte-identical to one produced
@@ -116,8 +116,6 @@ class StateDigester:
         self._records: List[List[Any]] = []
         #: Open streams: (core, warp) -> [interval, digest, events].
         self._streams: Dict[Tuple[int, int], List[int]] = {}
-        #: Per-level cache hit/miss counts for the current kernel.
-        self._cache_counts: Dict[str, List[int]] = {}
         self._kernel = -1
         self._merge_digest = _FNV_OFFSET
         self._merge_events = 0
@@ -129,7 +127,6 @@ class StateDigester:
         """Reset all state; the next kernel is index 0."""
         self._records = []
         self._streams = {}
-        self._cache_counts = {}
         self._kernel = -1
         self._merge_digest = _FNV_OFFSET
         self._merge_events = 0
@@ -138,14 +135,17 @@ class StateDigester:
         """Advance to the next kernel in launch order."""
         self._flush_streams()  # safety: a kernel that never ended
         self._kernel += 1
-        self._cache_counts = {}
 
-    def end_kernel(self, stats) -> None:
+    def end_kernel(self, stats,
+                   cache_counts: Optional[Dict[str, Tuple[int, int]]] = None
+                   ) -> None:
         """Close the kernel: flush streams, emit its summary record.
 
         ``stats`` is the kernel's :class:`~repro.sim.stats.KernelStats`
         (duck-typed; only plain counters are read), captured after the
         engine folded stall cells and per-kernel cache/DRAM deltas.
+        ``cache_counts`` maps cache levels (``"L1"``, ``"L2"``, ...) to
+        the kernel's ``(hits, misses)`` there.
         """
         self._flush_streams()
         h = _FNV_OFFSET
@@ -160,8 +160,13 @@ class StateDigester:
             h = fold(h, warp)
             h = fold(h, cat)
             h = fold(h, cycles)
-        for level in sorted(self._cache_counts):
-            hits, misses = self._cache_counts[level]
+        # Levels fold under their historical "mem/l1"-style labels, and
+        # only when looked up, so ledgers stay comparable across
+        # versions.
+        for level, (hits, misses) in sorted(
+                ("mem/" + name.lower(), counts)
+                for name, counts in (cache_counts or {}).items()
+                if counts != (0, 0)):
             for ch in level.encode("utf-8"):
                 h = fold(h, ch)
             h = fold(h, hits)
@@ -178,7 +183,6 @@ class StateDigester:
                                   self._merge_events])
         records, self._records = self._records, []
         self._streams = {}
-        self._cache_counts = {}
         self._kernel = -1
         self._merge_digest = _FNV_OFFSET
         self._merge_events = 0
@@ -238,14 +242,6 @@ class StateDigester:
         h = fold(h, latency)
         cell[1] = h
         cell[2] += 1
-
-    def note_cache(self, level: str, hit: bool) -> None:
-        """Count one cache lookup (folded at kernel end, per level)."""
-        cell = self._cache_counts.get(level)
-        if cell is None:
-            cell = [0, 0]
-            self._cache_counts[level] = cell
-        cell[0 if hit else 1] += 1
 
     def note_merge(self, total_cycles: int, instructions: int) -> None:
         """Fold one :meth:`KernelStats.merge` into the merge stream."""

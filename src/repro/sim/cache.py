@@ -8,7 +8,6 @@ making move-to-front cheap.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable
 
 from repro.sim.config import CacheConfig
@@ -18,8 +17,7 @@ from repro.sim.stats import CacheStats
 class Cache:
     """One cache level."""
 
-    __slots__ = ("config", "name", "stats", "_sets", "_set_mask",
-                 "_phase")
+    __slots__ = ("config", "name", "stats", "_sets", "_set_mask")
 
     def __init__(self, config: CacheConfig, name: str) -> None:
         self.config = config
@@ -27,53 +25,9 @@ class Cache:
         self.stats = CacheStats()
         self._sets = [[] for _ in range(config.num_sets)]
         self._set_mask = config.num_sets - 1
-        # Host-profiler phase: "L1[3]" -> "mem/l1" (nested under the
-        # top-level execute phase, see repro.obs.profile).
-        self._phase = "mem/" + name.split("[", 1)[0].lower()
 
-    def lookup(self, line: int, prof=None, dig=None) -> bool:
-        """Access ``line``; returns True on hit. Misses allocate.
-
-        ``prof`` is an enabled :class:`~repro.obs.profile.PhaseProfiler`
-        and ``dig`` an enabled
-        :class:`~repro.obs.provenance.StateDigester` (or ``None``):
-        lookups are the memory model's hot path, so the caller
-        pre-resolves the enabled checks instead of this method
-        consulting the globals each call.
-        """
-        start = perf_counter() if prof is not None else 0.0
-        if self._set_mask >= 0 and (self._set_mask & (self._set_mask + 1)) == 0:
-            index = line & self._set_mask
-        else:  # non-power-of-two set count
-            index = line % len(self._sets)
-        ways = self._sets[index]
-        if line in ways:
-            if ways[0] != line:
-                ways.remove(line)
-                ways.insert(0, line)
-            self.stats.hits += 1
-            hit = True
-        else:
-            self.stats.misses += 1
-            ways.insert(0, line)
-            if len(ways) > self.config.ways:
-                ways.pop()
-            hit = False
-        if prof is not None:
-            prof.add(self._phase, perf_counter() - start)
-        if dig is not None:
-            dig.note_cache(self._phase, hit)
-        return hit
-
-    def lookup_fast(self, line: int) -> bool:
-        """:meth:`lookup` minus the profiler/digester hooks.
-
-        The fast engine's replay loop (:mod:`repro.sim.fast`) resolves
-        those hooks once per kernel instead of once per line; tag
-        state, LRU movement and hit/miss counters are updated exactly
-        as :meth:`lookup` would, so the two are interchangeable
-        bit-for-bit.
-        """
+    def lookup(self, line: int) -> bool:
+        """Access ``line``; returns True on hit. Misses allocate."""
         if self._set_mask >= 0 and not (self._set_mask & (self._set_mask + 1)):
             ways = self._sets[line & self._set_mask]
         else:  # non-power-of-two set count

@@ -5,13 +5,13 @@ An *engine* decides which execution loop a run's kernels go through:
 * ``reference`` — the per-instruction interpreter of
   :mod:`repro.sim.gpu`.  Always available, always correct; the
   ground truth every other engine must match bit-for-bit.
-* ``fast`` — :class:`repro.sim.fast.FastGPU`: trace-and-replay for
-  covered kernels, per-kernel fallback to the reference loop for the
-  rest.  Bit-identical cycles, stall cells, summary dicts and
-  provenance ledgers.
+* ``fast`` — :class:`repro.sim.fast.FastGPU`: the same loop, fed by
+  stored records for kernels it can replay and run live for the rest.
+  Bit-identical cycles, stall cells, summary dicts and provenance
+  ledgers.
 * ``auto`` — per-run selection: ``fast`` unless the schedule needs a
   hardware unit for its gather kernel (SparseWeaver/EGHW), in which
-  case the reference loop is used wholesale.
+  case ``reference`` is used wholesale.
 
 Engines are deliberately *excluded* from job identity: the same spec
 produces the same cycles under every engine, so cache keys, journal
@@ -25,15 +25,7 @@ Resolution precedence: explicit ``engine=`` argument, else the
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
-
-try:  # pragma: no cover - typing fallback for very old interpreters
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object
-
-    def runtime_checkable(cls):
-        return cls
+from typing import Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.errors import ConfigError
 from repro.sim.config import GPUConfig
@@ -76,7 +68,7 @@ class ReferenceEngine:
 
 
 class FastEngine:
-    """Trace-and-replay with per-kernel reference fallback."""
+    """Record replay where a kernel allows it, live execution elsewhere."""
 
     name = "fast"
 

@@ -1,66 +1,49 @@
-"""Trace-and-replay fast-path execution engine.
+"""Trace-and-replay: the fast engine's record store.
 
-The reference interpreter (:mod:`repro.sim.gpu`) re-executes every
-warp generator and re-derives every cache-line set on every kernel
-launch.  For the schedules that opt in (``Schedule.trace_safe``), the
-instruction stream of a kernel is *response-independent*: it depends
-only on the topology and the launch geometry, never on simulated
-latencies or on state values the kernel itself mutates.  ``FastGPU``
-exploits that in two stages:
+For the schedules that opt in (``Schedule.trace_safe``), a kernel's
+instruction stream is *response-independent*: it depends only on the
+topology and the launch geometry, never on simulated latencies or on
+state values the kernel itself mutates. ``FastGPU`` compiles such a
+stream once and stores it:
 
-* **Trace** — drain every warp generator once with ``next()`` (no
-  simulation), compiling each instruction into a flat record:
-  precomputed cache-line lists, atomic conflict surcharges, issue
-  costs and stall categories.  ``COUNTER`` pseudo-instructions are
-  folded into static totals (they cost zero cycles and cannot perturb
-  warp selection).  The drain is *barrier-aware*: warps advance in
-  slot order one SYNC segment at a time, so schedules that coordinate
-  through shared per-launch registries (cta_map, twc, twce) observe
-  every sibling's registration before computing combined work — the
-  same visibility order the reference barrier gives them.
-* **Replay** — run the records through a lean clone of the reference
-  event loop: same heap, same first-minimal warp selection, same
-  barrier release and stall attribution, same memory-hierarchy walk
-  (true LRU state), so cycle counts, stall cells, cache stats and
-  provenance ledgers are **bit-identical** to the reference engine.
-  Functional edge updates captured at trace time are re-executed in
-  issue order against live state, preserving float accumulation order.
+* **Drain** — run every warp generator once with ``next()`` (no
+  simulation), compiling each instruction with the same
+  :func:`~repro.sim.gpu.instr_compiler` live warps use. The drain
+  is *barrier-aware*: warps advance in slot order one SYNC segment at a
+  time, so schedules that coordinate through shared per-launch
+  registries (cta_map, twc, twce) observe every sibling's registration
+  before computing combined work — the same visibility order the
+  barrier gives them live. Functional ``edge_update`` calls are
+  captured, not executed.
+* **Elementwise compile** — grid-stride init/apply kernels get their
+  records analytically, without running any generator.
+
+Later launches under the same key hand the stored records to the one
+event loop in :meth:`GPU.run_kernel <repro.sim.gpu.GPU.run_kernel>`,
+which replays them — re-executing the captured effects in issue order
+against live state, so float accumulation order matches a live run.
+Cycle counts, stall cells, cache stats and provenance ledgers are
+bit-identical to the reference engine by construction: both run the
+same loop and memory walk over the same records.
 
 Kernels the fast path does not cover (hardware-unit schedules,
 execution tracers, filtered/early-exit algorithms — their streams read
-kernel-mutated state) fall back to the reference loop per launch and
-increment ``sim_engine_fallback_total``.
+kernel-mutated state) run live per launch and increment
+``sim_engine_fallback_total``.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.obs.metrics import get_registry
 from repro.obs.profile import get_profiler
-from repro.obs.provenance import get_digester
-from repro.sim.gpu import _UNIT_OPS, GPU, WarpContext
-from repro.sim.instructions import Op, Phase, as_index_array
-from repro.sim.stats import KernelStats, StallCat, stall_category
-
-#: Replay record kinds.  FIXED covers every op whose completion time is
-#: a constant offset (ALU, SHMEM, NOP, empty memory ops).  COUNTER
-#: records stay in the stream even though their values are folded
-#: statically: the reference executes them as ``(0, now)``, which
-#: resets the warp's ready time to *now* and thereby perturbs the
-#: min-ready selection among its siblings — dropping them would change
-#: issue order and break bit-exactness.
-_FIXED, _LOAD, _STORE, _ATOMIC, _SYNC_KIND, _COUNTER = 0, 1, 2, 3, 4, 5
-
-_SYNC_CAT = StallCat.SYNC
-_NOP_CAT = stall_category(Op.NOP)
-_COUNTER_CAT = stall_category(Op.COUNTER)
+from repro.sim.gpu import (COUNTER, FIXED, GPU, LOAD, STORE, SYNC,
+                           KernelRecords, Tally, WarpContext)
+from repro.sim.instructions import Op
+from repro.sim.stats import stall_category
 
 
 class ReplayHint:
@@ -93,69 +76,28 @@ class ReplayHint:
         self.elementwise = elementwise
 
 
-class _KernelTrace:
-    """One kernel's compiled records plus its static accounting."""
-
-    __slots__ = ("cores", "instructions", "warps_launched", "op_counts",
-                 "issue_phase", "counters")
-
-    def __init__(self, cores, instructions, warps_launched, op_counts,
-                 issue_phase, counters) -> None:
-        self.cores = cores  # per core: [(slot, records, effects|None)]
-        self.instructions = instructions
-        self.warps_launched = warps_launched
-        self.op_counts = op_counts
-        self.issue_phase = issue_phase
-        self.counters = counters
-
-
-class _RWarp:
-    """Replay-time state of one resident warp (mirrors gpu._Warp)."""
-
-    __slots__ = ("slot", "recs", "n", "i", "ready", "state", "cat",
-                 "phase", "eff")
-
-    def __init__(self, slot: int, recs: tuple, eff) -> None:
-        self.slot = slot
-        self.recs = recs
-        self.n = len(recs)
-        self.i = 0
-        self.ready = 0
-        self.state = 0  # _RUNNING
-        self.cat = _NOP_CAT
-        self.phase = Phase.OTHER
-        self.eff = eff
-
-
 class FastGPU(GPU):
-    """Drop-in :class:`GPU` with per-kernel trace-and-replay."""
+    """Drop-in :class:`GPU` that stores and replays kernel records."""
 
     supports_replay = True
 
     def __init__(self, config) -> None:
         super().__init__(config)
-        self._traces: Dict[str, _KernelTrace] = {}
+        self._traces: Dict[str, KernelRecords] = {}
 
     # ------------------------------------------------------------------
     def has_trace(self, key: str) -> bool:
         """Whether a kernel trace is already stored under ``key``."""
         return key in self._traces
 
-    # ------------------------------------------------------------------
-    def run_kernel(
-        self,
-        warp_factory=None,
-        unit_factory=None,
-        flush_caches: bool = False,
-        max_instructions: int = 500_000_000,
-        tracer: Optional[Any] = None,
-        replay: Optional[ReplayHint] = None,
-    ) -> KernelStats:
-        """Trace-and-replay when a hint is given; else reference loop.
+    def _stored_records(self, warp_factory, unit_factory, tracer, replay,
+                        max_instructions) -> Optional[KernelRecords]:
+        """Stored records for a hinted launch, draining them first if
+        needed; ``None`` (live) for launches the store cannot serve.
 
-        Hardware-unit launches and execution-tracer launches always
-        delegate: units reply through ``generator.send`` (streams are
-        response-dependent) and tracers want the per-instruction loop.
+        Hardware-unit launches reply through ``generator.send`` (their
+        streams are response-dependent) and execution tracers want the
+        generators themselves, so both run live.
         """
         if replay is None or unit_factory is not None or tracer is not None:
             reason = ("unit" if unit_factory is not None
@@ -164,10 +106,7 @@ class FastGPU(GPU):
                 "sim_engine_fallback_total",
                 "Kernels the fast engine delegated to the reference loop",
             ).inc(reason=reason)
-            return super().run_kernel(
-                warp_factory, unit_factory=unit_factory,
-                flush_caches=flush_caches,
-                max_instructions=max_instructions, tracer=tracer)
+            return None
         trace = self._traces.get(replay.key)
         if trace is None:
             profiler = get_profiler()
@@ -180,10 +119,10 @@ class FastGPU(GPU):
             self._traces[replay.key] = trace
             if profiler.enabled:
                 profiler.add("fast/trace", perf_counter() - start)
-        return self._replay(trace, replay, flush_caches, max_instructions)
+        return trace
 
     # ------------------------------------------------------------------
-    def _trace_elementwise(self, desc: tuple) -> _KernelTrace:
+    def _trace_elementwise(self, desc: tuple) -> KernelRecords:
         """Compile a grid-stride elementwise kernel without generators.
 
         Mirrors ``frontend.framework._elementwise_factory`` exactly:
@@ -192,8 +131,7 @@ class FastGPU(GPU):
         range is never launched, and an epoch with no indices ends the
         warp.  Contiguous indices make every cache-line set an integer
         range, so records are built in O(1) per instruction with no
-        numpy; the index span is kept as an ``(a, b)`` marker and only
-        materialized when the provenance walk needs a real array.
+        numpy.
         """
         reads, writes, alu_ops, phase, n = desc
         cfg = self.config
@@ -201,15 +139,13 @@ class FastGPU(GPU):
         lanes = cfg.threads_per_warp
         stride = cfg.total_threads
         num_epochs = max(1, -(-n // stride)) if n else 1
-        alu_rec = (_FIXED, alu_ops, alu_ops + cfg.alu_latency - 1,
-                   phase, stall_category(Op.ALU), None, None, None,
-                   Op.ALU)
+        alu_rec = (FIXED, alu_ops, alu_ops + cfg.alu_latency - 1,
+                   phase, stall_category(Op.ALU), None, Op.ALU, None)
         load_cat = stall_category(Op.LOAD)
         store_cat = stall_category(Op.STORE)
-        store_aux = 1 + cfg.store_latency
-        counters: Dict[str, int] = defaultdict(int)
-        instructions = 0
-        warps_launched = 0
+        store_lat = 1 + cfg.store_latency
+        tally = Tally()
+        counters = tally.counters
         epochs_run = 0
         cores = []
         for core_id in range(cfg.num_cores):
@@ -218,7 +154,7 @@ class FastGPU(GPU):
                 first = (core_id * cfg.warps_per_core + slot) * lanes
                 if first >= n:
                     continue
-                warps_launched += 1
+                tally.warps_launched += 1
                 records = []
                 for epoch in range(num_epochs):
                     a = first + epoch * stride
@@ -228,15 +164,13 @@ class FastGPU(GPU):
                     if b > n:
                         b = n
                     epochs_run += 1
-                    span = (a, b)
                     for region in reads:
                         base, its = region.base, region.itemsize
                         lo = (base + a * its) >> shift
                         hi = (base + (b - 1) * its) >> shift
                         records.append(
-                            (_LOAD, 1, 0, phase, load_cat,
-                             list(range(lo, hi + 1)), span, region,
-                             Op.LOAD))
+                            (LOAD, 1, 1, phase, load_cat,
+                             list(range(lo, hi + 1)), Op.LOAD, None))
                         counters["elements_loaded:"
                                  + region.name] += b - a
                     records.append(alu_rec)
@@ -245,34 +179,29 @@ class FastGPU(GPU):
                         lo = (base + a * its) >> shift
                         hi = (base + (b - 1) * its) >> shift
                         records.append(
-                            (_STORE, 1, store_aux, phase, store_cat,
-                             list(range(lo, hi + 1)), span, region,
-                             Op.STORE))
+                            (STORE, 1, store_lat, phase, store_cat,
+                             list(range(lo, hi + 1)), Op.STORE, None))
                 entries.append((slot, tuple(records), None))
-                instructions += len(records)
             cores.append(entries)
-        op_counts = {}
         if epochs_run:
             if reads:
-                op_counts[Op.LOAD] = epochs_run * len(reads)
-            op_counts[Op.ALU] = epochs_run
+                tally.op_counts[Op.LOAD] = epochs_run * len(reads)
+            tally.op_counts[Op.ALU] = epochs_run
             if writes:
-                op_counts[Op.STORE] = epochs_run * len(writes)
-        issue_phase = ({phase: epochs_run
-                        * (len(reads) + alu_ops + len(writes))}
-                       if epochs_run else {})
-        return _KernelTrace(cores, instructions, warps_launched,
-                            op_counts, issue_phase, dict(counters))
+                tally.op_counts[Op.STORE] = epochs_run * len(writes)
+            tally.issue_phase[phase] = epochs_run * (
+                len(reads) + alu_ops + len(writes))
+        return KernelRecords(cores, tally)
 
     # ------------------------------------------------------------------
     def _trace(self, warp_factory, hint: ReplayHint,
-               max_instructions: int) -> _KernelTrace:
+               max_instructions: int) -> KernelRecords:
         """Drain every warp generator and compile its records.
 
         Barrier-aware round-robin: each pass advances every live warp
         (slot order) up to its next ``SYNC`` or to completion, so all
         pre-barrier shared-state writes land before any warp runs its
-        post-barrier code — matching reference visibility because
+        post-barrier code — matching live visibility because
         between-barrier shared writes are slot-keyed and post-barrier
         combination is idempotent (the ``trace_safe`` contract).
         """
@@ -280,382 +209,50 @@ class FastGPU(GPU):
         capture = hint.capture
         if capture is not None:
             del capture[:]
-        lines_for = self.memory.lines_for
-        line_shift = self.memory._line_shift
-        alu_lat = cfg.alu_latency
-        shmem_lat = cfg.shmem_latency
-        store_aux = 1 + cfg.store_latency
-        atomic_extra = cfg.atomic_extra
-        op_counts: Dict[Op, int] = defaultdict(int)
-        issue_phase: Dict[Phase, int] = defaultdict(int)
-        counters: Dict[str, int] = defaultdict(int)
+        tally = Tally()
+        compile_instr = self._instr_compiler(tally, has_unit=False)
         instructions = 0
-        warps_launched = 0
         cores = []
         for core_id in range(cfg.num_cores):
             entries = []
             for slot in range(cfg.warps_per_core):
-                ctx = WarpContext(core_id, slot, cfg)
-                gen = warp_factory(ctx)
+                gen = warp_factory(WarpContext(core_id, slot, cfg))
                 if gen is not None:
-                    warps_launched += 1
+                    tally.warps_launched += 1
                     # [slot, generator, records, effects]
                     entries.append([slot, gen, [], {}])
-            active = list(entries)
+            active = entries
             while active:
                 still = []
                 for entry in active:
-                    gen = entry[1]
-                    records = entry[2]
-                    effects = entry[3]
+                    gen, records, effects = entry[1], entry[2], entry[3]
                     while True:
                         base = len(capture) if capture is not None else 0
                         try:
                             instr = next(gen)
                         except StopIteration:
-                            if capture is not None and len(capture) > base:
-                                effects.setdefault(
-                                    len(records), []).extend(capture[base:])
-                            entry[1] = None
-                            break
+                            instr = None
                         if capture is not None and len(capture) > base:
                             effects.setdefault(
                                 len(records), []).extend(capture[base:])
-                        op = instr.op
-                        if op is Op.COUNTER:
-                            name, value = instr.payload
-                            counters[name] += value
-                            records.append(
-                                (_COUNTER, 0, 0, instr.phase,
-                                 _COUNTER_CAT, None, None, None, op))
-                            continue
-                        phase = instr.phase
-                        cat = stall_category(op)
-                        if op is Op.ALU:
-                            c = instr.count
-                            rec = (_FIXED, c, c + alu_lat - 1, phase, cat,
-                                   None, None, None, op)
-                        elif op is Op.LOAD:
-                            idx = as_index_array(instr.indices)
-                            if idx.size == 0:
-                                rec = (_FIXED, 1, 1, phase, cat,
-                                       None, None, None, op)
-                            else:
-                                region = instr.region
-                                counters["elements_loaded:"
-                                         + region.name] += idx.size
-                                # Warp-sized batches dedup faster as a
-                                # Python set than through np.unique.
-                                if idx.size <= 64:
-                                    base = region.base
-                                    its = region.itemsize
-                                    lines = sorted(
-                                        {(base + v * its) >> line_shift
-                                         for v in idx.tolist()})
-                                else:
-                                    lines = lines_for(region,
-                                                      idx).tolist()
-                                rec = (_LOAD, 1, 0, phase, cat,
-                                       lines, idx, region, op)
-                        elif op is Op.STORE:
-                            idx = as_index_array(instr.indices)
-                            if idx.size == 0:
-                                rec = (_FIXED, 1, 1, phase, cat,
-                                       None, None, None, op)
-                            else:
-                                region = instr.region
-                                if idx.size <= 64:
-                                    base = region.base
-                                    its = region.itemsize
-                                    lines = sorted(
-                                        {(base + v * its) >> line_shift
-                                         for v in idx.tolist()})
-                                else:
-                                    lines = lines_for(region,
-                                                      idx).tolist()
-                                rec = (_STORE, 1, store_aux, phase, cat,
-                                       lines, idx, region, op)
-                        elif op is Op.ATOMIC:
-                            idx = as_index_array(instr.indices)
-                            if idx.size == 0:
-                                rec = (_FIXED, 1, 1, phase, cat,
-                                       None, None, None, op)
-                            else:
-                                region = instr.region
-                                # One sort gives both the conflict
-                                # count (duplicate indices) and the
-                                # ascending deduped line list: the
-                                # index→address map is increasing, so
-                                # adjacent dedup equals np.unique.
-                                base = region.base
-                                its = region.itemsize
-                                shift = line_shift
-                                ordered = sorted(idx.tolist())
-                                prev = ordered[0]
-                                nuniq = 1
-                                lines = [(base + prev * its) >> shift]
-                                for v in ordered:
-                                    if v != prev:
-                                        prev = v
-                                        nuniq += 1
-                                        ln = (base + v * its) >> shift
-                                        if ln != lines[-1]:
-                                            lines.append(ln)
-                                extra = atomic_extra * (
-                                    1 + idx.size - nuniq)
-                                rec = (_ATOMIC, 1, extra, phase, cat,
-                                       lines, idx, region, op)
-                        elif op is Op.SHMEM_LOAD or op is Op.SHMEM_STORE:
-                            c = instr.count
-                            rec = (_FIXED, c, c + shmem_lat - 1, phase,
-                                   cat, None, None, None, op)
-                        elif op is Op.SYNC:
-                            rec = (_SYNC_KIND, 1, 1, phase, cat,
-                                   None, None, None, op)
-                        elif op is Op.NOP:
-                            rec = (_FIXED, 1, 1, phase, cat,
-                                   None, None, None, op)
-                        elif op in _UNIT_OPS:
-                            raise SimulationError(
-                                f"{op.name} issued but the kernel was "
-                                "launched without a hardware unit")
-                        else:
-                            raise SimulationError(f"unknown opcode {op!r}")
+                        if instr is None:
+                            entry[1] = None
+                            break
+                        rec = compile_instr(instr)
                         records.append(rec)
+                        if rec[0] == COUNTER:
+                            continue
                         instructions += 1
                         if instructions > max_instructions:
                             raise SimulationError(
                                 f"kernel exceeded {max_instructions} "
                                 "instructions; likely a non-terminating "
                                 "kernel")
-                        issue_phase[phase] += rec[1]
-                        op_counts[op] += 1
-                        if op is Op.SYNC:
+                        if rec[0] == SYNC:
                             break
                     if entry[1] is not None:
                         still.append(entry)
                 active = still
             cores.append([(slot, tuple(records), effects or None)
                           for slot, _gen, records, effects in entries])
-        return _KernelTrace(cores, instructions, warps_launched,
-                            dict(op_counts), dict(issue_phase),
-                            dict(counters))
-
-    # ------------------------------------------------------------------
-    def _replay(self, trace: _KernelTrace, hint: ReplayHint,
-                flush_caches: bool, max_instructions: int) -> KernelStats:
-        """Re-run compiled records through the reference event loop.
-
-        Every scheduling decision, stall attribution and memory-walk
-        mutation below mirrors :meth:`GPU.run_kernel` line for line —
-        the only differences are that instructions come from records
-        instead of generators, and static totals (instruction counts,
-        issue-phase cycles, counters) are folded in at the end.
-        """
-        cfg = self.config
-        mem = self.memory
-        if flush_caches:
-            mem.flush()
-        mem.begin_kernel()
-        stats = KernelStats()
-        dram_before = mem.dram_accesses
-        registry = get_registry()
-        cache_before = mem.cache_counts() if registry.enabled else None
-        profiler = get_profiler()
-        prof_on = profiler.enabled
-        kernel_start = perf_counter() if prof_on else 0.0
-        digester = get_digester()
-        dig_on = digester.enabled
-        if dig_on:
-            digester.begin_kernel()
-        if trace.instructions > max_instructions:
-            raise SimulationError(
-                f"kernel exceeded {max_instructions} instructions; "
-                "likely a non-terminating kernel")
-
-        effect = hint.effect
-        heap: List[Tuple[int, int]] = []
-        cores: List[List[_RWarp]] = []
-        for core_id, entries in enumerate(trace.cores):
-            warps = [_RWarp(slot, recs, eff)
-                     for slot, recs, eff in entries]
-            cores.append(warps)
-            if warps:
-                heapq.heappush(heap, (0, core_id))
-
-        if dig_on:
-            # Provenance parity path: route memory through the standard
-            # hierarchy walk so note_cache/note_mem records land in the
-            # reference order; the fast inline walk below skips them.
-            access = mem.access
-
-            def walk(core_id: int, rec, now: int) -> int:
-                idx = rec[6]
-                if type(idx) is tuple:  # elementwise (a, b) span marker
-                    idx = np.arange(idx[0], idx[1], dtype=np.int64)
-                latency, _ = access(core_id, rec[7], idx, now=now)
-                return latency
-        else:
-            l1_list = mem.l1
-            l2, l3 = mem.l2, mem.l3
-            l1_lat = cfg.l1.hit_latency
-            l2_lat = cfg.l2.hit_latency if cfg.l2 is not None else 0
-            l3_lat = cfg.l3.hit_latency if cfg.l3 is not None else 0
-            dram_lat = cfg.dram_latency_cycles
-            dram_service = cfg.dram_service_cycles
-            line_tp = cfg.line_throughput
-
-            def walk(core_id: int, rec, now: int) -> int:
-                lines = rec[5]
-                l1 = l1_list[core_id]
-                worst = 0
-                for line in lines:
-                    if l1.lookup_fast(line):
-                        lat = l1_lat
-                    elif l2 is not None and l2.lookup_fast(line):
-                        lat = l2_lat
-                    elif l3 is not None and l3.lookup_fast(line):
-                        lat = l3_lat
-                    else:
-                        mem.dram_accesses += 1
-                        start = mem._dram_free
-                        if now > start:
-                            start = now
-                        mem._dram_free = start + dram_service
-                        lat = start - now + dram_lat
-                    if lat > worst:
-                        worst = lat
-                return worst + (len(lines) - 1) * line_tp
-
-        stall_cells = stats.stall_cells
-        phase_cycles = stats.phase_cycles
-        core_time = [0] * cfg.num_cores
-        push = heapq.heappush
-        pop = heapq.heappop
-        while heap:
-            t, core_id = pop(heap)
-            warps = cores[core_id]
-            # One pass finds the first minimal-ready running warp
-            # (strict < keeps the reference's slot-order tie-break).
-            warp = None
-            best = 1 << 62
-            for w in warps:
-                if w.state == 0 and w.ready < best:
-                    warp = w
-                    best = w.ready
-            if warp is None:
-                blocked = [w for w in warps if w.state == 1]
-                if blocked:
-                    release = t
-                    for w in blocked:
-                        if w.ready > release:
-                            release = w.ready
-                    for w in blocked:
-                        wait = release - w.ready
-                        if wait:
-                            stall_cells[
-                                (core_id, w.slot, _SYNC_CAT)] += wait
-                            if dig_on:
-                                digester.note_stall(
-                                    w.ready, core_id, w.slot,
-                                    _SYNC_CAT, wait)
-                        w.state = 0
-                        w.ready = release
-                    push(heap, (release, core_id))
-                continue
-
-            if best > t:
-                gap = best - t
-                stall_cells[(core_id, warp.slot, warp.cat)] += gap
-                phase_cycles[warp.phase] += gap
-                if dig_on:
-                    digester.note_stall(t, core_id, warp.slot,
-                                        warp.cat, gap)
-                t = best
-
-            i = warp.i
-            eff = warp.eff
-            if eff is not None:
-                batches = eff.get(i)
-                if batches is not None:
-                    for args in batches:
-                        effect(*args)
-            if i == warp.n:
-                warp.state = 2
-                alive = False
-                for w in warps:
-                    if w.state != 2:
-                        alive = True
-                        break
-                if alive:
-                    push(heap, (t, core_id))
-                if t > core_time[core_id]:
-                    core_time[core_id] = t
-                continue
-            warp.i = i + 1
-            rec = warp.recs[i]
-            kind = rec[0]
-            if kind == 0:
-                done = t + rec[2]
-            elif kind == 1:
-                done = t + 1 + walk(core_id, rec, t)
-            elif kind == 3:
-                done = t + 1 + walk(core_id, rec, t) + rec[2]
-            elif kind == 2:
-                walk(core_id, rec, t)
-                done = t + rec[2]
-            elif kind == 4:
-                warp.state = 1
-                done = t + 1
-            else:  # _COUNTER: zero cost, but ready resets to now
-                done = t
-            if dig_on and kind != 5:
-                digester.note_issue(t, core_id, warp.slot, rec[8],
-                                    rec[3], done)
-            warp.ready = done
-            warp.cat = rec[4]
-            warp.phase = rec[3]
-            t += rec[1]
-            if t > core_time[core_id]:
-                core_time[core_id] = t
-            push(heap, (t, core_id))
-
-        for core_id, warps in enumerate(cores):
-            pending = [w for w in warps if w.state == 1]
-            if pending:
-                raise SimulationError(
-                    f"core {core_id}: {len(pending)} warps stuck at a "
-                    "barrier at kernel end (mismatched SYNC counts)")
-            tail = 0
-            for w in warps:
-                if w.ready > tail:
-                    tail = w.ready
-            if tail > core_time[core_id]:
-                core_time[core_id] = tail
-
-        stats.total_cycles = max(core_time) if core_time else 0
-        stats.instructions = trace.instructions
-        stats.warps_launched = trace.warps_launched
-        op_counts = stats.op_counts
-        for op, c in trace.op_counts.items():
-            op_counts[op] += c
-        for ph, c in trace.issue_phase.items():
-            phase_cycles[ph] += c
-        stat_counters = stats.counters
-        for name, v in trace.counters.items():
-            stat_counters[name] += v
-        for (_core, _warp, cat), cycles in stall_cells.items():
-            stats.stall_cycles[cat] += cycles
-        stats.cache = mem.cache_stats()
-        stats.dram_accesses = mem.dram_accesses - dram_before
-        if registry.enabled:
-            registry.publish_kernel_stats(stats)
-            mem.publish_metrics(registry, cache_before,
-                                stats.dram_accesses)
-        if prof_on:
-            end = perf_counter()
-            profiler.add("fast/replay", end - kernel_start)
-            profiler.end_kernel(stats.total_cycles, end - kernel_start)
-        if dig_on:
-            digester.end_kernel(stats)
-        return stats
+        return KernelRecords(cores, tally)

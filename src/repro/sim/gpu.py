@@ -1,4 +1,4 @@
-"""Event-driven SIMT execution engine.
+"""Event-driven SIMT execution engine: one loop over compiled records.
 
 Execution model (DESIGN.md §5):
 
@@ -18,13 +18,28 @@ Execution model (DESIGN.md §5):
 * Weaver/EGHW instructions are dispatched to a per-core hardware unit
   which manages its own busy-time serialization and replies through
   ``generator.send``.
+
+The loop never interprets an :class:`Instr` directly: every
+instruction is first compiled into a flat *record* by
+:func:`instr_compiler` (issue cost, fixed latency, phase, stall
+category, deduplicated cache lines, atomic conflict surcharge). A warp
+feeds the loop from one of two sources. A *live* warp runs its
+generator and compiles each instruction as it is yielded — every
+reference launch, hardware-unit kernels and execution-traced launches.
+A *replayed* warp reads the records a
+:class:`~repro.sim.fast.FastGPU` stored when it first drained the
+kernel, re-applying the functional ``edge_update`` effects captured
+between them. Scheduling, barrier release, stall attribution and the
+memory walk are the same code for both sources, so the engines agree
+by construction.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -40,6 +55,171 @@ from repro.sim.stats import KernelStats, StallCat, stall_category
 _RUNNING = 0
 _BARRIER = 1
 _DONE = 2
+
+#: Record kinds. FIXED covers every op whose completion time is a
+#: constant offset (ALU, SHMEM, NOP, empty memory ops). LOAD records
+#: (loads and atomics) add the memory walk's latency to that offset;
+#: STORE records walk the hierarchy for cache state only. COUNTER
+#: records cost zero cycles but stay in the stream: issuing one resets
+#: the warp's ready time to *now*, which steers min-ready warp
+#: selection.
+FIXED, LOAD, STORE, SYNC, UNIT, COUNTER = range(6)
+
+_UNIT_OPS = frozenset({
+    Op.WEAVER_REG,
+    Op.WEAVER_DEC_ID,
+    Op.WEAVER_DEC_LOC,
+    Op.WEAVER_SKIP,
+    Op.EGHW_PUSH,
+    Op.EGHW_FETCH,
+})
+
+#: Stall category per opcode, resolved once instead of per instruction.
+_STALL_OF = {op: stall_category(op) for op in Op}
+
+
+class Tally:
+    """What a record stream adds to :class:`KernelStats` regardless of
+    timing: launched warps, per-op counts, issue cycles per phase and
+    counter bumps. Filled while records are compiled and folded into
+    the kernel's stats when it ends."""
+
+    __slots__ = ("warps_launched", "op_counts", "issue_phase", "counters")
+
+    def __init__(self) -> None:
+        self.warps_launched = 0
+        self.op_counts: Dict[Op, int] = defaultdict(int)
+        self.issue_phase: Dict[Phase, int] = defaultdict(int)
+        self.counters: Dict[str, int] = defaultdict(int)
+
+    def fold_into(self, stats: KernelStats) -> None:
+        """Add these totals to a kernel's ``stats``."""
+        stats.warps_launched += self.warps_launched
+        stats.instructions += sum(self.op_counts.values())
+        for op, count in self.op_counts.items():
+            stats.op_counts[op] += count
+        for phase, cycles in self.issue_phase.items():
+            stats.phase_cycles[phase] += cycles
+        for name, value in self.counters.items():
+            stats.counters[name] += value
+
+
+class KernelRecords:
+    """One kernel's stored records, ready for replay.
+
+    ``cores`` holds, per core, ``(slot, records, effects)`` for every
+    launched warp; ``effects`` maps a record index to the captured
+    ``edge_update`` argument tuples the warp produced just before that
+    record (``None`` when it produced none).
+    """
+
+    __slots__ = ("cores", "tally")
+
+    def __init__(self, cores: list, tally: Tally) -> None:
+        self.cores = cores
+        self.tally = tally
+
+
+def instr_compiler(config: GPUConfig, memory: MemoryHierarchy,
+                   tally: Tally,
+                   has_unit: bool) -> Callable[[Instr], tuple]:
+    """Return the function that compiles one :class:`Instr` into a record.
+
+    A record is ``(kind, issue, latency, phase, stall category, lines,
+    op, payload)``. ``issue`` is the issue cost in cycles. ``latency``
+    is the fixed part of the completion offset (LOAD records add the
+    memory walk's latency; for atomics it includes the conflict
+    surcharge). ``lines`` are the access's ascending unique cache
+    lines. Each compiled instruction is also counted into ``tally``.
+    Hardware-unit ops raise unless the launch has a unit
+    (``has_unit``).
+    """
+    lines_for = memory.lines_for
+    alu_lat = config.alu_latency - 1
+    shmem_lat = config.shmem_latency - 1
+    store_lat = 1 + config.store_latency
+    atomic_extra = config.atomic_extra
+    stall_of = _STALL_OF
+    op_counts = tally.op_counts
+    issue_phase = tally.issue_phase
+    counters = tally.counters
+    op_alu, op_load, op_store, op_atomic = Op.ALU, Op.LOAD, Op.STORE, Op.ATOMIC
+    op_counter, op_sync, op_nop = Op.COUNTER, Op.SYNC, Op.NOP
+    op_shmem_ld, op_shmem_st = Op.SHMEM_LOAD, Op.SHMEM_STORE
+
+    def compile_instr(instr: Instr) -> tuple:
+        op = instr.op
+        phase = instr.phase
+        cat = stall_of[op]
+        if op is op_load or op is op_store or op is op_atomic:
+            idx = as_index_array(instr.indices)
+            if idx.size == 0:
+                rec = (FIXED, 1, 1, phase, cat, None, op, None)
+            else:
+                region = instr.region
+                lines = lines_for(region, idx)
+                if op is op_load:
+                    # Element-level traffic per array: lets tests check
+                    # the Table I access formulas (2|V|+|E| vs 2|E|).
+                    counters["elements_loaded:" + region.name] += idx.size
+                    rec = (LOAD, 1, 1, phase, cat, lines, op, None)
+                elif op is op_store:
+                    # Write-allocate for cache state; the warp itself
+                    # only pays the (buffered) store latency.
+                    rec = (STORE, 1, store_lat, phase, cat, lines, op,
+                           None)
+                else:
+                    # Lanes hitting the same element serialize.
+                    conflicts = idx.size - len(set(idx.tolist()))
+                    rec = (LOAD, 1, 1 + atomic_extra * (1 + conflicts),
+                           phase, cat, lines, op, None)
+        elif op is op_alu:
+            count = instr.count
+            rec = (FIXED, count, count + alu_lat, phase, cat, None, op,
+                   None)
+        elif op is op_counter:
+            name, value = instr.payload
+            counters[name] += value
+            return (COUNTER, 0, 0, phase, cat, None, op, None)
+        elif op is op_shmem_ld or op is op_shmem_st:
+            count = instr.count
+            rec = (FIXED, count, count + shmem_lat, phase, cat, None, op,
+                   None)
+        elif op is op_sync:
+            rec = (SYNC, 1, 1, phase, cat, None, op, None)
+        elif op is op_nop:
+            rec = (FIXED, 1, 1, phase, cat, None, op, None)
+        elif op in _UNIT_OPS:
+            if not has_unit:
+                raise SimulationError(
+                    f"{op.name} issued but the kernel was launched "
+                    "without a hardware unit")
+            rec = (UNIT, 1, 0, phase, cat, None, op, instr.payload)
+        else:
+            raise SimulationError(f"unknown opcode {op!r}")
+        op_counts[op] += 1
+        issue_phase[phase] += rec[1]
+        return rec
+
+    return compile_instr
+
+
+def _replayed(records: tuple, effects: Optional[dict],
+              effect: Optional[Callable]) -> Iterator[tuple]:
+    """A replayed warp's source: its stored records, with the captured
+    ``edge_update`` effects re-applied, in issue order, at the points
+    the trace drain saw them."""
+    if not effects:
+        yield from records
+        return
+    for i, rec in enumerate(records):
+        batches = effects.get(i)
+        if batches is not None:
+            for args in batches:
+                effect(*args)
+        yield rec
+    for args in effects.get(len(records), ()):
+        effect(*args)
 
 
 class WarpContext:
@@ -76,16 +256,16 @@ class WarpContext:
 
 
 class _Warp:
-    __slots__ = ("slot", "gen", "ready", "state", "blocked_op",
-                 "blocked_phase", "response")
+    __slots__ = ("slot", "source", "ready", "state", "cat", "phase",
+                 "response")
 
-    def __init__(self, slot: int, gen: Optional[Iterator[Instr]]) -> None:
+    def __init__(self, slot: int, source: Iterator) -> None:
         self.slot = slot
-        self.gen = gen
+        self.source = source
         self.ready = 0
-        self.state = _RUNNING if gen is not None else _DONE
-        self.blocked_op = Op.NOP
-        self.blocked_phase = Phase.OTHER
+        self.state = _RUNNING
+        self.cat = _STALL_OF[Op.NOP]
+        self.phase = Phase.OTHER
         self.response: Any = None
 
 
@@ -116,10 +296,26 @@ class GPU:
         """
         return False
 
+    def _instr_compiler(self, tally: Tally,
+                        has_unit: bool) -> Callable[[Instr], tuple]:
+        """The record compiler for one launch (see
+        :func:`instr_compiler`); live warps and the fast engine's trace
+        drain both compile through it."""
+        return instr_compiler(self.config, self.memory, tally, has_unit)
+
+    def _stored_records(self, warp_factory, unit_factory, tracer, replay,
+                        max_instructions) -> Optional[KernelRecords]:
+        """Records this launch replays, or ``None`` to run it live.
+
+        The reference engine runs every launch live;
+        :class:`repro.sim.fast.FastGPU` returns stored records.
+        """
+        return None
+
     # ------------------------------------------------------------------
     def run_kernel(
         self,
-        warp_factory: WarpFactory,
+        warp_factory: Optional[WarpFactory],
         unit_factory: Optional[UnitFactory] = None,
         flush_caches: bool = False,
         max_instructions: int = 500_000_000,
@@ -143,23 +339,25 @@ class GPU:
         max_instructions:
             Safety valve against runaway kernels.
         replay:
-            Optional :class:`repro.sim.fast.ReplayHint`.  The reference
-            engine ignores it (every launch interprets the generators);
-            it exists so drivers can pass one hint down regardless of
-            which engine built the GPU.
+            Optional :class:`repro.sim.fast.ReplayHint`.  A GPU with a
+            record store (:meth:`_stored_records`) replays the records
+            kept under its key; the reference engine ignores it and
+            runs every launch live, so drivers can pass one hint down
+            regardless of which engine built the GPU.
         """
         cfg = self.config
+        mem = self.memory
+        stored = self._stored_records(warp_factory, unit_factory, tracer,
+                                      replay, max_instructions)
         if flush_caches:
-            self.memory.flush()
-        self.memory.begin_kernel()
+            mem.flush()
+        mem.begin_kernel()
         stats = KernelStats()
-        dram_before = self.memory.dram_accesses
+        dram_before = mem.dram_accesses
         # Duck-typed: tracers predating stall attribution only expose
         # ``record``.
         record_stall = getattr(tracer, "record_stall", None)
         registry = get_registry()
-        cache_before = (self.memory.cache_counts() if registry.enabled
-                        else None)
         # Host-side profiler: every hook below hides behind this one
         # local truth test, so a disabled profiler costs one comparison
         # per section and reads no clocks — simulated cycle counts are
@@ -174,41 +372,58 @@ class GPU:
         dig_on = digester.enabled
         if dig_on:
             digester.begin_kernel()
+        cache_before = (mem.cache_counts() if registry.enabled or dig_on
+                        else None)
         # Duck-typed kernel-launch notification for window tracers
         # (``repro diff --replay`` records only one kernel).
         tracer_begin = getattr(tracer, "begin_kernel", None)
         if tracer_begin is not None:
             tracer_begin()
 
-        cores = []
+        cores: List[List[_Warp]] = []
         units: Dict[int, Any] = {}
         heap = []
-        for core_id in range(cfg.num_cores):
-            warps = []
-            for slot in range(cfg.warps_per_core):
-                ctx = WarpContext(core_id, slot, cfg)
-                gen = warp_factory(ctx)
-                warp = _Warp(slot, gen)
-                if gen is not None:
-                    stats.warps_launched += 1
-                warps.append(warp)
-            cores.append(warps)
-            if unit_factory is not None:
-                units[core_id] = unit_factory(core_id)
-            if any(w.state == _RUNNING for w in warps):
+        live = stored is None
+        if live:
+            tally = Tally()
+            compile_instr = self._instr_compiler(tally,
+                                                 unit_factory is not None)
+            for core_id in range(cfg.num_cores):
+                warps = []
+                for slot in range(cfg.warps_per_core):
+                    gen = warp_factory(WarpContext(core_id, slot, cfg))
+                    if gen is not None:
+                        tally.warps_launched += 1
+                        warps.append(_Warp(slot, gen))
+                cores.append(warps)
+                if unit_factory is not None:
+                    units[core_id] = unit_factory(core_id)
+        else:
+            tally = stored.tally
+            effect = replay.effect
+            for entries in stored.cores:
+                cores.append([_Warp(slot, _replayed(recs, effects, effect))
+                              for slot, recs, effects in entries])
+        for core_id, warps in enumerate(cores):
+            if warps:
                 heapq.heappush(heap, (0, core_id))
         if prof_on:
             profiler.add("setup", perf_counter() - kernel_start)
 
+        stall_cells = stats.stall_cells
+        phase_cycles = stats.phase_cycles
+        access = mem.access
         core_time = [0] * cfg.num_cores
         issued = 0
+        push = heapq.heappush
+        pop = heapq.heappop
         while heap:
-            sched_start = perf_counter() if prof_on else 0.0
-            t, core_id = heapq.heappop(heap)
+            if prof_on:
+                sched_start = perf_counter()
+            t, core_id = pop(heap)
             warps = cores[core_id]
             # One pass finds the first minimal-ready running warp
-            # (strict < keeps the slot-order tie-break that
-            # ``min(running, key=_ready_of)`` had).
+            # (strict < keeps the slot-order tie-break).
             warp = None
             best = 1 << 62
             for w in warps:
@@ -224,7 +439,7 @@ class GPU:
                     for w in blocked:
                         wait = release - w.ready
                         if wait:
-                            stats.stall_cells[
+                            stall_cells[
                                 (core_id, w.slot, StallCat.SYNC)] += wait
                             if record_stall is not None:
                                 record_stall(w.ready, core_id, w.slot,
@@ -235,36 +450,37 @@ class GPU:
                                                     wait)
                         w.state = _RUNNING
                         w.ready = release
-                    heapq.heappush(heap, (release, core_id))
+                    push(heap, (release, core_id))
                 if prof_on:
                     profiler.add("schedule", perf_counter() - sched_start)
                 continue
 
-            if warp.ready > t:
-                gap = warp.ready - t
-                cat = stall_category(warp.blocked_op)
+            if best > t:
+                gap = best - t
                 # Only the attribution cells accumulate in the loop;
                 # the per-category counters are folded from them at
                 # kernel end, keeping the hot path at one increment.
-                stats.stall_cells[(core_id, warp.slot, cat)] += gap
-                stats.phase_cycles[warp.blocked_phase] += gap
+                stall_cells[(core_id, warp.slot, warp.cat)] += gap
+                phase_cycles[warp.phase] += gap
                 if record_stall is not None:
-                    record_stall(t, core_id, warp.slot, cat, gap)
+                    record_stall(t, core_id, warp.slot, warp.cat, gap)
                 if dig_on:
-                    digester.note_stall(t, core_id, warp.slot, cat, gap)
-                t = warp.ready
+                    digester.note_stall(t, core_id, warp.slot, warp.cat,
+                                        gap)
+                t = best
             if prof_on:
                 kernel_gen_start = perf_counter()
                 profiler.add("schedule", kernel_gen_start - sched_start)
 
             try:
-                instr = warp.gen.send(warp.response)
+                item = warp.source.send(warp.response)
             except StopIteration:
                 warp.state = _DONE
-                warp.gen = None
+                warp.source = None
                 if any(w.state != _DONE for w in warps):
-                    heapq.heappush(heap, (t, core_id))
-                core_time[core_id] = max(core_time[core_id], t)
+                    push(heap, (t, core_id))
+                if t > core_time[core_id]:
+                    core_time[core_id] = t
                 if prof_on:
                     profiler.add("kernel",
                                  perf_counter() - kernel_gen_start)
@@ -274,35 +490,41 @@ class GPU:
                 execute_start = perf_counter()
                 profiler.add("kernel", execute_start - kernel_gen_start)
 
-            issue_cost, done = self._execute(
-                instr, core_id, warp, t, units.get(core_id), stats
-            )
+            rec = compile_instr(item) if live else item
+            kind = rec[0]
+            done = t + rec[2]
+            if kind == LOAD:
+                done += access(core_id, None, None, t, rec[5])[0]
+            elif kind == STORE:
+                access(core_id, None, None, t, rec[5])
+            elif kind == SYNC:
+                warp.state = _BARRIER
+            elif kind == UNIT:
+                done, warp.response = units[core_id].handle(
+                    rec[6], warp.slot, t + 1, rec[7])
             if prof_on:
                 account_start = perf_counter()
-                profiler.add_op(instr.op.name,
-                                account_start - execute_start)
-            if tracer is not None and instr.op != Op.COUNTER:
-                tracer.record(t, core_id, warp.slot, instr.op,
-                              instr.phase, done)
-            if dig_on and instr.op != Op.COUNTER:
-                digester.note_issue(t, core_id, warp.slot, instr.op,
-                                    instr.phase, done)
-            if instr.op != Op.COUNTER:
+                profiler.add_op(rec[6].name, account_start - execute_start)
+            if kind != COUNTER:
+                if tracer is not None:
+                    tracer.record(t, core_id, warp.slot, rec[6], rec[3],
+                                  done)
+                if dig_on:
+                    digester.note_issue(t, core_id, warp.slot, rec[6],
+                                        rec[3], done)
                 issued += 1
-                stats.instructions += 1
-                stats.op_counts[instr.op] += 1
-                stats.phase_cycles[instr.phase] += issue_cost
                 if issued > max_instructions:
                     raise SimulationError(
                         f"kernel exceeded {max_instructions} instructions; "
                         "likely a non-terminating kernel"
                     )
             warp.ready = done
-            warp.blocked_op = instr.op
-            warp.blocked_phase = instr.phase
-            t += issue_cost
-            core_time[core_id] = max(core_time[core_id], t)
-            heapq.heappush(heap, (t, core_id))
+            warp.cat = rec[4]
+            warp.phase = rec[3]
+            t += rec[1]
+            if t > core_time[core_id]:
+                core_time[core_id] = t
+            push(heap, (t, core_id))
             if prof_on:
                 profiler.add("account", perf_counter() - account_start)
 
@@ -318,87 +540,19 @@ class GPU:
             core_time[core_id] = max(core_time[core_id], tail)
 
         stats.total_cycles = max(core_time) if core_time else 0
-        for (_core, _warp, cat), cycles in stats.stall_cells.items():
+        tally.fold_into(stats)
+        for (_core, _warp, cat), cycles in stall_cells.items():
             stats.stall_cycles[cat] += cycles
-        stats.cache = self.memory.cache_stats()
-        stats.dram_accesses = self.memory.dram_accesses - dram_before
+        stats.cache = mem.cache_stats()
+        stats.dram_accesses = mem.dram_accesses - dram_before
         if registry.enabled:
             registry.publish_kernel_stats(stats)
-            self.memory.publish_metrics(registry, cache_before,
-                                        stats.dram_accesses)
+            mem.publish_metrics(registry, cache_before,
+                                stats.dram_accesses)
         if prof_on:
             end = perf_counter()
             profiler.add("finalize", end - finalize_start)
             profiler.end_kernel(stats.total_cycles, end - kernel_start)
         if dig_on:
-            digester.end_kernel(stats)
+            digester.end_kernel(stats, mem.cache_deltas(cache_before))
         return stats
-
-    # ------------------------------------------------------------------
-    def _execute(self, instr, core_id, warp, now, unit, stats):
-        """Charge one instruction; returns ``(issue_cost, done_time)``."""
-        cfg = self.config
-        op = instr.op
-
-        if op == Op.ALU:
-            cost = instr.count
-            return cost, now + cost + cfg.alu_latency - 1
-        if op == Op.LOAD:
-            idx = as_index_array(instr.indices)
-            if idx.size == 0:
-                return 1, now + 1
-            latency, _ = self.memory.access(core_id, instr.region, idx,
-                                            now=now)
-            # Element-level traffic accounting per array: lets tests
-            # check the Table I access formulas (2|V|+|E| vs 2|E|).
-            stats.counters[f"elements_loaded:{instr.region.name}"] += idx.size
-            return 1, now + 1 + latency
-        if op == Op.STORE:
-            idx = as_index_array(instr.indices)
-            if idx.size == 0:
-                return 1, now + 1
-            # Write-allocate for cache state; the warp itself only pays
-            # the (buffered) store latency.
-            self.memory.access(core_id, instr.region, idx, now=now)
-            return 1, now + 1 + cfg.store_latency
-        if op == Op.ATOMIC:
-            idx = as_index_array(instr.indices)
-            if idx.size == 0:
-                return 1, now + 1
-            latency, _ = self.memory.access(core_id, instr.region, idx,
-                                            now=now)
-            conflicts = idx.size - np.unique(idx).size
-            latency += cfg.atomic_extra * (1 + conflicts)
-            return 1, now + 1 + latency
-        if op == Op.SHMEM_LOAD or op == Op.SHMEM_STORE:
-            cost = instr.count
-            return cost, now + cost + cfg.shmem_latency - 1
-        if op == Op.SYNC:
-            warp.state = _BARRIER
-            return 1, now + 1
-        if op in _UNIT_OPS:
-            if unit is None:
-                raise SimulationError(
-                    f"{op.name} issued but the kernel was launched without "
-                    "a hardware unit"
-                )
-            done, response = unit.handle(op, warp.slot, now + 1, instr.payload)
-            warp.response = response
-            return 1, done
-        if op == Op.COUNTER:
-            name, value = instr.payload
-            stats.counters[name] += value
-            return 0, now
-        if op == Op.NOP:
-            return 1, now + 1
-        raise SimulationError(f"unknown opcode {op!r}")
-
-
-_UNIT_OPS = {
-    Op.WEAVER_REG,
-    Op.WEAVER_DEC_ID,
-    Op.WEAVER_DEC_LOC,
-    Op.WEAVER_SKIP,
-    Op.EGHW_PUSH,
-    Op.EGHW_FETCH,
-}

@@ -110,20 +110,47 @@ class MemoryHierarchy:
         )
         self.dram_accesses = 0
         self._dram_free = 0
+        self._timing = (
+            config.l1.hit_latency,
+            config.l2.hit_latency if config.l2 is not None else 0,
+            config.l3.hit_latency if config.l3 is not None else 0,
+            config.dram_latency_cycles,
+            config.dram_service_cycles,
+            config.line_throughput,
+        )
         if self.l2 is not None and config.l2.line_bytes != config.l1.line_bytes:
             raise ConfigError("all cache levels must share one line size")
         if self.l3 is not None and config.l3.line_bytes != config.l1.line_bytes:
             raise ConfigError("all cache levels must share one line size")
 
     # ------------------------------------------------------------------
-    def lines_for(self, region: Region, indices: np.ndarray) -> np.ndarray:
-        """Unique cache-line numbers touched by ``region[indices]``."""
+    def lines_for(self, region: Region, indices: np.ndarray) -> List[int]:
+        """Ascending unique cache lines touched by ``region[indices]``."""
+        if indices.size <= 64:
+            # Warp-sized accesses dominate; a python-set dedup beats
+            # np.unique at this size.
+            base = region.base
+            its = region.itemsize
+            shift = self._line_shift
+            return sorted({(base + v * its) >> shift
+                           for v in indices.tolist()})
         addrs = region.base + indices * region.itemsize
-        return np.unique(addrs >> self._line_shift)
+        return np.unique(addrs >> self._line_shift).tolist()
 
-    def access_line(self, core_id: int, line: int, now: int = 0,
-                    prof=None, dig=None) -> int:
-        """Walk the hierarchy for one line; returns its latency.
+    def access(
+        self, core_id: int, region: Optional[Region],
+        indices: Optional[np.ndarray], now: int = 0,
+        lines: Optional[List[int]] = None,
+    ) -> Tuple[int, int]:
+        """Charge a coalesced warp access at time ``now``.
+
+        Walks L1 -> L2 -> (L3) -> DRAM for each line of
+        ``region[indices]`` — or of ``lines``, the ascending unique
+        lines, when the caller compiled them already (``region`` and
+        ``indices`` are then unused). Returns ``(latency_cycles,
+        num_lines)``: the worst per-line latency plus
+        ``line_throughput`` cycles for each line beyond the first
+        (memory pipeline serialization).
 
         DRAM fills additionally queue behind a shared memory-controller
         timeline (``dram_service_cycles`` occupancy per line), so total
@@ -131,95 +158,51 @@ class MemoryHierarchy:
         hidden by warp-level parallelism. This is the bandwidth term
         that makes graph processing memory-intensive (Fig. 12) and
         charges S_em for its doubled edge reads.
-
-        ``prof`` is an enabled host profiler (or ``None``) and ``dig``
-        an enabled state digester (or ``None``), threaded down into the
-        per-level lookups.
-        """
-        cfg = self.config
-        if self.l1[core_id].lookup(line, prof, dig):
-            return cfg.l1.hit_latency
-        if self.l2 is not None and self.l2.lookup(line, prof, dig):
-            return cfg.l2.hit_latency
-        if self.l3 is not None and self.l3.lookup(line, prof, dig):
-            return cfg.l3.hit_latency
-        self.dram_accesses += 1
-        if prof is not None:
-            # Count-only phase: the fill arithmetic below is trivial,
-            # but the fill *rate* is what a vectorized memory model
-            # must reproduce, so it earns a call counter.
-            prof.add("mem/dram", 0.0)
-        start = max(now, self._dram_free)
-        self._dram_free = start + cfg.dram_service_cycles
-        return (start - now) + cfg.dram_latency_cycles
-
-    def access(
-        self, core_id: int, region: Region, indices: np.ndarray,
-        now: int = 0,
-    ) -> Tuple[int, int]:
-        """Charge a coalesced warp access at time ``now``.
-
-        Returns ``(latency_cycles, num_lines)``. Latency is the worst
-        per-line latency plus ``line_throughput`` cycles for each line
-        beyond the first (memory pipeline serialization).
         """
         if not 0 <= core_id < len(self.l1):
             raise SimulationError(f"core id {core_id} out of range")
         profiler = get_profiler()
-        prof = profiler if profiler.enabled else None
-        digester = get_digester()
-        dig = digester if digester.enabled else None
-        start = perf_counter() if prof is not None else 0.0
-        if indices.size <= 64:
-            # Warp-sized accesses dominate; a python-set dedup beats
-            # np.unique at this size.  sorted() keeps the walk order
-            # (and so LRU/DRAM-queue state) identical to lines_for.
-            base = region.base
-            its = region.itemsize
-            shift = self._line_shift
-            lines = sorted({(base + v * its) >> shift
-                            for v in indices.tolist()})
-        else:
-            lines = self.lines_for(region, indices).tolist()
+        prof_on = profiler.enabled
+        if prof_on:
+            start = perf_counter()
+            fills = self.dram_accesses
+        if lines is None:
+            lines = self.lines_for(region, indices)
         nlines = len(lines)
-        if nlines == 0:
-            if prof is not None:
-                prof.add("mem/access", perf_counter() - start)
-            return 0, 0
-        worst = 0
-        if prof is None and dig is None:
-            # Hot path: per-line hierarchy walk with the hook-free
-            # lookups (bit-identical to access_line, see
-            # Cache.lookup_fast).
-            cfg = self.config
+        total = 0
+        if nlines:
+            l1_lat, l2_lat, l3_lat, dram_lat, service, line_tp = \
+                self._timing
             l1 = self.l1[core_id]
             l2, l3 = self.l2, self.l3
+            worst = 0
             for line in lines:
-                if l1.lookup_fast(line):
-                    latency = cfg.l1.hit_latency
-                elif l2 is not None and l2.lookup_fast(line):
-                    latency = cfg.l2.hit_latency
-                elif l3 is not None and l3.lookup_fast(line):
-                    latency = cfg.l3.hit_latency
+                if l1.lookup(line):
+                    latency = l1_lat
+                elif l2 is not None and l2.lookup(line):
+                    latency = l2_lat
+                elif l3 is not None and l3.lookup(line):
+                    latency = l3_lat
                 else:
                     self.dram_accesses += 1
                     fill = self._dram_free
                     if now > fill:
                         fill = now
-                    self._dram_free = fill + cfg.dram_service_cycles
-                    latency = (fill - now) + cfg.dram_latency_cycles
+                    self._dram_free = fill + service
+                    latency = (fill - now) + dram_lat
                 if latency > worst:
                     worst = latency
-        else:
-            for line in lines:
-                latency = self.access_line(core_id, line, now, prof, dig)
-                if latency > worst:
-                    worst = latency
-        total = worst + (nlines - 1) * self.config.line_throughput
-        if prof is not None:
-            prof.add("mem/access", perf_counter() - start)
-        if dig is not None:
-            dig.note_mem(now, core_id, nlines, total)
+            total = worst + (nlines - 1) * line_tp
+            digester = get_digester()
+            if digester.enabled:
+                digester.note_mem(now, core_id, nlines, total)
+        if prof_on:
+            profiler.add("mem/access", perf_counter() - start)
+            if self.dram_accesses > fills:
+                # Count-only phase: the fill *rate* is what a
+                # vectorized memory model must reproduce.
+                profiler.add("mem/dram", 0.0,
+                             calls=self.dram_accesses - fills)
         return total, nlines
 
     # ------------------------------------------------------------------
@@ -246,6 +229,18 @@ class MemoryHierarchy:
         return {name: (cs.hits, cs.misses)
                 for name, cs in self.cache_stats().items()}
 
+    def cache_deltas(self, before: Optional[Dict[str, Tuple[int, int]]]
+                     ) -> Dict[str, Tuple[int, int]]:
+        """Per-level ``(hits, misses)`` since the ``before`` snapshot of
+        :meth:`cache_counts` (cache tag state and counters persist
+        across kernels; per-kernel views want the increments)."""
+        before = before or {}
+        deltas = {}
+        for name, (hits, misses) in self.cache_counts().items():
+            prev_hits, prev_misses = before.get(name, (0, 0))
+            deltas[name] = (hits - prev_hits, misses - prev_misses)
+        return deltas
+
     def publish_metrics(self, registry, before=None,
                         dram_accesses: int = 0) -> None:
         """Fold this kernel's memory traffic into a metrics registry.
@@ -256,21 +251,8 @@ class MemoryHierarchy:
         registry.counter(
             "sim_dram_accesses_total", "DRAM line fills"
         ).inc(dram_accesses)
-        before = before or {}
-        for name, cache in [("L1", None), ("L2", self.l2),
-                            ("L3", self.l3)]:
-            if name == "L1":
-                merged = CacheStats()
-                for level in self.l1:
-                    merged.merge(level.stats)
-                hits, misses = merged.hits, merged.misses
-            elif cache is None:
-                continue
-            else:
-                hits, misses = cache.stats.hits, cache.stats.misses
-            prev_hits, prev_misses = before.get(name, (0, 0))
-            publish_cache_metrics(registry, name, hits - prev_hits,
-                                  misses - prev_misses)
+        for name, (hits, misses) in self.cache_deltas(before).items():
+            publish_cache_metrics(registry, name, hits, misses)
 
     def begin_kernel(self) -> None:
         """Reset the controller timeline — kernel clocks start at 0."""

@@ -4,9 +4,8 @@ Covers the registry contract (lookup, listing, registration,
 resolution precedence), bit-exact parity between the fast and
 reference engines, the auto engine's per-run selection, clean fallback
 for uncovered kernels (with the ``sim_engine_fallback_total`` metric),
-the deprecation shim for the legacy ``gpu=`` spelling, engine-blind
-job identity, and divergence bisection against a deliberately broken
-engine.
+engine-blind job identity, and divergence bisection against a
+deliberately broken engine.
 """
 
 import json
@@ -101,28 +100,50 @@ def test_facade_reexports():
 
 # ------------------------------------------------------------------- parity
 
-@pytest.mark.parametrize("schedule", ["vertex_map", "edge_map",
-                                      "warp_map", "cta_map",
-                                      "sparseweaver"])
-def test_fast_engine_bit_identical(schedule):
-    """Cycles, stall cells and summary dicts match the reference
-    engine exactly — the tentpole guarantee."""
-    from repro.runtime import AlgorithmSpec
+_PARITY_SCHEDULES = ("vertex_map", "edge_map", "warp_map", "cta_map",
+                     "sparseweaver")
+
+
+@pytest.mark.parametrize("algorithm,schedule", [
+    pytest.param(algorithm, schedule,
+                 id=schedule if algorithm == "pagerank"
+                 else f"{schedule}-{algorithm}")
+    for algorithm in ("pagerank", "bfs", "sssp", "cc")
+    for schedule in _PARITY_SCHEDULES])
+def test_fast_engine_bit_identical(algorithm, schedule):
+    """Cycles, stall cells, summary dicts, values and digest ledgers
+    match the reference engine exactly — the tentpole guarantee.
+
+    PageRank gathers replay stored records; BFS/SSSP/CC gathers read
+    state they mutate and run live (``no_hint``), as does every
+    ``sparseweaver`` gather (``unit``)."""
+    from repro.algorithms import make_algorithm
+    from repro.obs.provenance import (digests_enabled, disable_digests,
+                                      enable_digests)
 
     graph = dataset("bio-human", scale=0.1)
     results = {}
-    for engine in ("reference", "fast"):
-        proc = GraphProcessor(
-            AlgorithmSpec.of("pagerank", iterations=2).build(),
-            schedule=schedule, config=GPUConfig.vortex_bench(),
-            engine=engine)
-        results[engine] = proc.run(graph, max_iterations=2)
+    ledgers = {}
+    assert not digests_enabled()
+    try:
+        for engine in ("reference", "fast"):
+            digester = enable_digests()
+            digester.begin_job()
+            proc = GraphProcessor(
+                make_algorithm(algorithm), schedule=schedule,
+                config=GPUConfig.vortex_bench(), engine=engine)
+            results[engine] = proc.run(graph, max_iterations=2)
+            ledgers[engine] = digester.take_ledger()
+    finally:
+        disable_digests(clear=True)
     ref, fast = results["reference"], results["fast"]
     assert fast.total_cycles == ref.total_cycles
     assert fast.iterations == ref.iterations
     assert fast.stats.to_summary_dict() == ref.stats.to_summary_dict()
     assert dict(fast.stats.stall_cells) == dict(ref.stats.stall_cells)
     assert (fast.values == ref.values).all()
+    assert ledgers["reference"]
+    assert ledgers["fast"] == ledgers["reference"]
 
 
 # ----------------------------------------------------------------- fallback
@@ -160,28 +181,6 @@ def test_fast_unsupported_kernel_falls_back_cleanly():
     assert fast.stats.to_summary_dict() == ref.stats.to_summary_dict()
 
 
-# -------------------------------------------------------------- deprecation
-
-def test_gpu_kwarg_deprecation_shim():
-    """The legacy ``gpu=`` spelling still works but warns once and is
-    overridden by an explicit ``engine=``."""
-    import repro.frontend.framework as framework
-    from repro.runtime import AlgorithmSpec
-
-    alg = AlgorithmSpec.of("pagerank", iterations=1).build()
-    framework._GPU_KWARG_WARNED = False
-    try:
-        with pytest.warns(DeprecationWarning, match="engine="):
-            proc = GraphProcessor(alg, schedule="vertex_map", gpu="fast")
-        assert proc.engine_name == "fast"
-        # Second use is silent (warn-once), and engine= wins over gpu=.
-        proc = GraphProcessor(alg, schedule="vertex_map",
-                              gpu="fast", engine="reference")
-        assert proc.engine_name == "reference"
-    finally:
-        framework._GPU_KWARG_WARNED = False
-
-
 # ----------------------------------------------------------- job identity
 
 def test_engine_excluded_from_spec_identity():
@@ -209,9 +208,10 @@ def test_engine_excluded_from_spec_identity():
 # ------------------------------------------------------- divergence bisect
 
 class _BrokenGPU(GPU):
-    """Reference loop that silently adds one cycle of latency to every
-    instruction from its third kernel launch onward — kernels 0 and 1
-    stay bit-identical, kernel 2 diverges from its first record."""
+    """Reference loop whose record compiler silently adds one cycle of
+    fixed latency to every instruction from its third kernel launch
+    onward — kernels 0 and 1 stay bit-identical, kernel 2 diverges from
+    its first record."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -223,12 +223,16 @@ class _BrokenGPU(GPU):
         self._launches += 1
         return super().run_kernel(*args, **kwargs)
 
-    def _execute(self, instr, core_id, warp, now, unit, stats):
-        cost, done = super()._execute(instr, core_id, warp, now, unit,
-                                      stats)
-        if self._broken_now:
-            done += 1
-        return cost, done
+    def _instr_compiler(self, tally, has_unit):
+        compile_instr = super()._instr_compiler(tally, has_unit)
+        if not self._broken_now:
+            return compile_instr
+
+        def broken(instr):
+            rec = compile_instr(instr)
+            return rec[:2] + (rec[2] + 1,) + rec[3:]
+
+        return broken
 
 
 class _BrokenEngine:

@@ -27,14 +27,15 @@ def global_profiler():
         disable_profiling()
 
 
-def tiny_job():
+def tiny_job(schedule="sparseweaver", engine=None):
     return JobSpec(
         algorithm=AlgorithmSpec.of("pagerank", iterations=2),
         graph=GraphSpec.inline(powerlaw_graph(120, 500, seed=1),
                                name="pl-a"),
-        schedule="sparseweaver",
+        schedule=schedule,
         config=GPUConfig.vortex_tiny(),
         max_iterations=2,
+        engine=engine,
     )
 
 
@@ -179,13 +180,17 @@ def test_enable_profiling_exports_env(global_profiler):
 # ----------------------------------------------------------------------
 # The simulator contract: off = bit-identical, on = covered
 # ----------------------------------------------------------------------
-def test_cycles_bit_identical_with_profiler_on_and_off():
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("schedule", ["sparseweaver", "vertex_map"])
+def test_cycles_bit_identical_with_profiler_on_and_off(schedule, engine):
+    """Profiling never changes cycles, and the top-level phases cover
+    replayed kernels (fast + vertex_map) as well as live ones."""
     assert not profiling_enabled()
-    baseline = tiny_job().execute().stats.total_cycles
+    baseline = tiny_job(schedule, engine).execute().stats.total_cycles
     try:
         profiler = enable_profiling()
         profiler.clear()
-        profiled = tiny_job().execute().stats.total_cycles
+        profiled = tiny_job(schedule, engine).execute().stats.total_cycles
         assert profiler.kernels > 0
         assert profiler.coverage() >= 0.90
         assert profiled == baseline

@@ -102,10 +102,8 @@ def test_figure_registry_names_unique_and_sorted():
 
 
 def test_run_schedule_comparison_keyword_only_tail():
-    """The legacy positional (config, max_iterations, symmetrize) tail
-    still works but warns; keywords are the supported spelling."""
-    import warnings
-
+    """``config`` / ``max_iterations`` / ``symmetrize`` are keyword-only;
+    a positional tail is a TypeError."""
     from repro.bench import runner
     from repro.graph import powerlaw_graph
     from repro.runtime import AlgorithmSpec
@@ -118,15 +116,7 @@ def test_run_schedule_comparison_keyword_only_tail():
     kw = runner.run_schedule_comparison(
         alg, {"g": graph}, ["vertex_map"], config=cfg,
         max_iterations=1)
-
-    runner._POSITIONAL_TAIL_WARNED = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = runner.run_schedule_comparison(
-            alg, {"g": graph}, ["vertex_map"], cfg, 1)
-    assert any(issubclass(w.category, DeprecationWarning)
-               for w in caught)
-    assert legacy.cycles == kw.cycles
+    assert kw.cycles["g"]["vertex_map"] > 0
 
     with pytest.raises(TypeError):
         runner.run_schedule_comparison(
