@@ -10,8 +10,6 @@ path.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.sched.base import KernelEnv
@@ -24,6 +22,7 @@ from repro.sim.instructions import (
 )
 
 _EMPTY = np.zeros(0, dtype=np.int64)
+_ONES = np.ones(0)
 
 
 def inspect_topology(env: KernelEnv, vids: np.ndarray,
@@ -48,6 +47,18 @@ def inspect_topology(env: KernelEnv, vids: np.ndarray,
     return starts, degrees
 
 
+def unit_weights(n: int) -> np.ndarray:
+    """``n`` unit edge weights, as a read-only view of one shared vector.
+
+    ``edge_update`` may keep its arguments (the fast engine captures
+    them for replay), so the shared vector must never be written."""
+    global _ONES
+    if n > _ONES.size:
+        _ONES = np.ones(max(n, 2 * _ONES.size))
+        _ONES.flags.writeable = False
+    return _ONES[:n]
+
+
 def process_edge_batch(
     env: KernelEnv,
     bases: np.ndarray,
@@ -58,7 +69,7 @@ def process_edge_batch(
     preloaded: bool = False,
     others: np.ndarray = None,
     weights: np.ndarray = None,
-) -> "np.ndarray":
+) -> None:
     """Emit edge-information access + gather&sum for one warp batch.
 
     ``accumulate`` selects how the per-edge contribution lands in the
@@ -69,38 +80,40 @@ def process_edge_batch(
     fetched the opposite endpoint and weight, so the kernel skips those
     loads and uses the supplied ``others``/``weights``.
 
-    Returns the keep mask after the other-endpoint filter.
+    The lanes the other-endpoint filter keeps reach ``edge_update``;
+    with no filter (or none filtered out) the batch's arrays are handed
+    over as they are, so callers must not write to them afterwards.
     """
     alg = env.algorithm
-    state = env.state
-    if bases.size == 0:
-        return np.zeros(0, dtype=bool)
+    size = bases.size
+    if size == 0:
+        return
+    regions = env.regions
     if not preloaded:
-        yield load(edge_phase, env.region("col_idx"), eids)
+        yield load(edge_phase, regions["col_idx"], eids)
         others = env.graph.col_idx[eids]
         if alg.uses_weights:
-            yield load(edge_phase, env.region("weights"), eids)
+            yield load(edge_phase, regions["weights"], eids)
             weights = env.graph.weights[eids]
     if weights is None:
-        weights = np.ones(bases.size)
+        weights = unit_weights(size)
     for name in alg.edge_value_arrays:
-        yield load(gather_phase, env.region(name), others)
-    if alg.has_other_filter:
+        yield load(gather_phase, regions[name], others)
+    if alg.other_filter is not None:
         yield alu(gather_phase)
-        keep = ~alg.other_filter(state, others)
-    else:
-        keep = np.ones(bases.size, dtype=bool)
-    if keep.any():
-        yield alu(gather_phase, alg.gather_alu)
-        alg.edge_update(
-            state, bases[keep], others[keep], weights[keep], eids[keep]
-        )
-        if accumulate == "atomic":
-            targets = (bases if alg.accumulate_target == "base"
-                       else others)
-            yield atomic(gather_phase, env.region(alg.acc_array),
-                         targets[keep])
-    return keep
+        drop = alg.other_filter(env.state, others)
+        dropped = np.count_nonzero(drop)
+        if dropped == size:
+            return
+        if dropped:
+            keep = ~drop
+            bases, others = bases[keep], others[keep]
+            weights, eids = weights[keep], eids[keep]
+    yield alu(gather_phase, alg.gather_alu)
+    alg.edge_update(env.state, bases, others, weights, eids)
+    if accumulate == "atomic":
+        targets = bases if alg.accumulate_target == "base" else others
+        yield atomic(gather_phase, regions[alg.acc_array], targets)
 
 
 def writeback_accumulators(env: KernelEnv, bases: np.ndarray,
@@ -130,10 +143,9 @@ def log2_ceil(n: int) -> int:
 
 
 def check_early_exit(env: KernelEnv, bases: np.ndarray):
-    """Emit the early-exit test; returns the done mask (empty batches
-    return an empty mask)."""
-    alg = env.algorithm
-    if not alg.has_early_exit or bases.size == 0:
-        return np.zeros(bases.size, dtype=bool)
+    """Emit the early-exit test of an algorithm that has one; returns
+    the done mask (empty batches return an empty mask)."""
+    if bases.size == 0:
+        return np.zeros(0, dtype=bool)
     yield alu(Phase.GATHER)
-    return alg.early_exit(env.state, bases)
+    return env.algorithm.early_exit(env.state, bases)

@@ -80,7 +80,7 @@ class SparseWeaverSchedule(Schedule):
 
     def warp_factory(self, env: KernelEnv):
         cfg = env.config
-        alg = env.algorithm
+        early_exit = env.algorithm.has_early_exit
         lanes = env.lanes
         lane_ids = np.arange(lanes, dtype=np.int64)
         # Registration capacity per core: when the ST has fewer entries
@@ -132,10 +132,12 @@ class SparseWeaverSchedule(Schedule):
                         yield from process_edge_batch(
                             env, bases, eids, accumulate="atomic"
                         )
-                        done = yield from check_early_exit(env, bases)
-                        if done.any():
-                            for vid in np.unique(bases[done]).tolist():
-                                yield weaver_skip(Phase.GATHER, int(vid))
+                        if early_exit:
+                            done = yield from check_early_exit(env, bases)
+                            if done.any():
+                                for vid in np.unique(bases[done]).tolist():
+                                    yield weaver_skip(Phase.GATHER,
+                                                      int(vid))
                     if epoch < num_epochs - 1:
                         # Protect the ST/DT reset of the next epoch's
                         # registration from stragglers.

@@ -43,6 +43,7 @@ class SplitVertexMapSchedule(Schedule):
         stride = env.config.total_threads
         num_epochs = max(1, -(-num_split // stride))
         alg = env.algorithm
+        early_exit = alg.has_early_exit
 
         # The virtualization tables are data the kernel must read; Tigr
         # materializes them at static time. Allocate once per env.
@@ -89,7 +90,7 @@ class SplitVertexMapSchedule(Schedule):
                         )
                         k += 1
                         alive = alive[degrees[alive] > k]
-                        if alive.size:
+                        if early_exit and alive.size:
                             done = yield from check_early_exit(
                                 env, base_vids[alive]
                             )

@@ -34,12 +34,13 @@ class VertexMapSchedule(Schedule):
 
     def warp_factory(self, env: KernelEnv):
         num_epochs = env.vertex_epochs()
-        stride = env.config.total_threads
         # Pull keeps each lane's sum in a register (one store at the
         # end); push scatters to the opposite endpoint and pays atomics
         # like everyone else.
         pull_local = env.algorithm.accumulate_target == "base"
         accumulate = "local" if pull_local else "atomic"
+        early_exit = env.algorithm.has_early_exit
+        iteration = counter("warp_iterations")
 
         def factory(ctx):
             if ctx.thread_ids[0] >= env.num_vertices:
@@ -54,18 +55,24 @@ class VertexMapSchedule(Schedule):
                     alive = np.nonzero(degrees > 0)[0]
                     k = 0
                     while alive.size:
-                        yield counter("warp_iterations")
+                        # The alive lanes stay fixed until the shortest
+                        # of their lists runs out — or, with an early
+                        # exit, for one iteration.
                         bases = vids[alive]
-                        eids = starts[alive] + k
-                        yield from process_edge_batch(
-                            env, bases, eids, accumulate=accumulate
-                        )
-                        k += 1
-                        alive = alive[degrees[alive] > k]
-                        if alive.size:
+                        bases.flags.writeable = False  # shared by batches
+                        lane_starts = starts[alive]
+                        left = degrees[alive]
+                        stop = k + 1 if early_exit else int(left.min())
+                        while k < stop:
+                            yield iteration
+                            yield from process_edge_batch(
+                                env, bases, lane_starts + k,
+                                accumulate=accumulate)
+                            k += 1
+                        alive = alive[left > k]
+                        if early_exit and alive.size:
                             done = yield from check_early_exit(
-                                env, vids[alive]
-                            )
+                                env, vids[alive])
                             if done.any():
                                 alive = alive[~done]
                     if pull_local:
@@ -74,5 +81,4 @@ class VertexMapSchedule(Schedule):
 
             return kernel()
 
-        _ = stride  # stride is implicit in epoch_vertex_ids
         return factory

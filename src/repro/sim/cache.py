@@ -8,7 +8,7 @@ making move-to-front cheap.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, List, Sequence
 
 from repro.sim.config import CacheConfig
 from repro.sim.stats import CacheStats
@@ -17,52 +17,59 @@ from repro.sim.stats import CacheStats
 class Cache:
     """One cache level."""
 
-    __slots__ = ("config", "name", "stats", "_sets", "_set_mask")
+    __slots__ = ("config", "name", "stats", "_sets", "_num_sets", "_ways")
 
     def __init__(self, config: CacheConfig, name: str) -> None:
         self.config = config
         self.name = name
         self.stats = CacheStats()
-        self._sets = [[] for _ in range(config.num_sets)]
-        self._set_mask = config.num_sets - 1
+        self._num_sets = config.num_sets
+        self._ways = config.ways
+        self._sets = [[] for _ in range(self._num_sets)]
+
+    def access(self, lines: Sequence[int]) -> List[int]:
+        """Look up ``lines`` in order; returns the missed ones, in order.
+
+        Each line is one LRU access: a hit moves it to the front of its
+        set, a miss allocates it there and evicts the set's last line
+        when the set is full. Hit and miss counts are updated once per
+        call.
+        """
+        sets = self._sets
+        num_sets = self._num_sets
+        max_ways = self._ways
+        misses = []
+        for line in lines:
+            ways = sets[line % num_sets]
+            if line in ways:
+                if ways[0] != line:
+                    ways.remove(line)
+                    ways.insert(0, line)
+            else:
+                misses.append(line)
+                ways.insert(0, line)
+                if len(ways) > max_ways:
+                    ways.pop()
+        stats = self.stats
+        stats.misses += len(misses)
+        stats.hits += len(lines) - len(misses)
+        return misses
 
     def lookup(self, line: int) -> bool:
         """Access ``line``; returns True on hit. Misses allocate."""
-        if self._set_mask >= 0 and not (self._set_mask & (self._set_mask + 1)):
-            ways = self._sets[line & self._set_mask]
-        else:  # non-power-of-two set count
-            ways = self._sets[line % len(self._sets)]
-        if line in ways:
-            if ways[0] != line:
-                ways.remove(line)
-                ways.insert(0, line)
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        ways.insert(0, line)
-        if len(ways) > self.config.ways:
-            ways.pop()
-        return False
+        return not self.access((line,))
 
     def contains(self, line: int) -> bool:
         """Non-mutating presence check (no stats, no LRU update)."""
-        if self._set_mask >= 0 and (self._set_mask & (self._set_mask + 1)) == 0:
-            index = line & self._set_mask
-        else:
-            index = line % len(self._sets)
-        return line in self._sets[index]
+        return line in self._sets[line % self._num_sets]
 
     def warm(self, lines: Iterable[int]) -> None:
         """Pre-load lines without counting stats (test fixtures)."""
         for line in lines:
-            if self._set_mask >= 0 and (self._set_mask & (self._set_mask + 1)) == 0:
-                index = line & self._set_mask
-            else:
-                index = line % len(self._sets)
-            ways = self._sets[index]
+            ways = self._sets[line % self._num_sets]
             if line not in ways:
                 ways.insert(0, line)
-                if len(ways) > self.config.ways:
+                if len(ways) > self._ways:
                     ways.pop()
 
     def flush(self) -> None:

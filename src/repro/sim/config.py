@@ -99,6 +99,11 @@ class GPUConfig:
         ):
             if value < 1:
                 raise ConfigError(f"{field} must be at least 1, got {value}")
+        if self.dram_service < 0:
+            # The memory walk charges a run of fills in closed form,
+            # which needs the controller timeline to never run backwards.
+            raise ConfigError(
+                f"dram_service must be at least 0, got {self.dram_service}")
 
     # ------------------------------------------------------------------
     @property

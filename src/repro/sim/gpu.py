@@ -133,6 +133,10 @@ def instr_compiler(config: GPUConfig, memory: MemoryHierarchy,
     lines. Each compiled instruction is also counted into ``tally``.
     Hardware-unit ops raise unless the launch has a unit
     (``has_unit``).
+
+    ALU, shared-memory, barrier, NOP and counter records depend only
+    on the opcode, count and phase, so each distinct one is built once
+    per compiler and shared.
     """
     lines_for = memory.lines_for
     alu_lat = config.alu_latency - 1
@@ -146,14 +150,39 @@ def instr_compiler(config: GPUConfig, memory: MemoryHierarchy,
     op_alu, op_load, op_store, op_atomic = Op.ALU, Op.LOAD, Op.STORE, Op.ATOMIC
     op_counter, op_sync, op_nop = Op.COUNTER, Op.SYNC, Op.NOP
     op_shmem_ld, op_shmem_st = Op.SHMEM_LOAD, Op.SHMEM_STORE
+    ndarray, int64 = np.ndarray, np.dtype(np.int64)
+    #: ``elements_loaded:<region>`` counter key per region.
+    load_keys: Dict[Any, str] = {}
+    #: Shared records keyed by ``(op, count, phase)``.
+    fixed: Dict[tuple, tuple] = {}
+
+    def fixed_record(op: Op, count: int, phase: Phase) -> tuple:
+        cat = stall_of[op]
+        if op is op_alu:
+            rec = (FIXED, count, count + alu_lat, phase, cat, None, op,
+                   None)
+        elif op is op_counter:
+            rec = (COUNTER, 0, 0, phase, cat, None, op, None)
+        elif op is op_shmem_ld or op is op_shmem_st:
+            rec = (FIXED, count, count + shmem_lat, phase, cat, None, op,
+                   None)
+        elif op is op_sync:
+            rec = (SYNC, 1, 1, phase, cat, None, op, None)
+        else:  # NOP
+            rec = (FIXED, 1, 1, phase, cat, None, op, None)
+        fixed[op, count, phase] = rec
+        return rec
 
     def compile_instr(instr: Instr) -> tuple:
         op = instr.op
         phase = instr.phase
-        cat = stall_of[op]
         if op is op_load or op is op_store or op is op_atomic:
-            idx = as_index_array(instr.indices)
-            if idx.size == 0:
+            cat = stall_of[op]
+            idx = instr.indices
+            if idx.__class__ is not ndarray or idx.dtype is not int64:
+                idx = as_index_array(idx)
+            n = idx.size
+            if not n:
                 rec = (FIXED, 1, 1, phase, cat, None, op, None)
             else:
                 region = instr.region
@@ -161,7 +190,11 @@ def instr_compiler(config: GPUConfig, memory: MemoryHierarchy,
                 if op is op_load:
                     # Element-level traffic per array: lets tests check
                     # the Table I access formulas (2|V|+|E| vs 2|E|).
-                    counters["elements_loaded:" + region.name] += idx.size
+                    key = load_keys.get(region)
+                    if key is None:
+                        key = load_keys[region] = (
+                            "elements_loaded:" + region.name)
+                    counters[key] += n
                     rec = (LOAD, 1, 1, phase, cat, lines, op, None)
                 elif op is op_store:
                     # Write-allocate for cache state; the warp itself
@@ -170,31 +203,27 @@ def instr_compiler(config: GPUConfig, memory: MemoryHierarchy,
                            None)
                 else:
                     # Lanes hitting the same element serialize.
-                    conflicts = idx.size - len(set(idx.tolist()))
+                    conflicts = (n - len(set(idx.tolist())) if n > 1
+                                 else 0)
                     rec = (LOAD, 1, 1 + atomic_extra * (1 + conflicts),
                            phase, cat, lines, op, None)
-        elif op is op_alu:
-            count = instr.count
-            rec = (FIXED, count, count + alu_lat, phase, cat, None, op,
-                   None)
         elif op is op_counter:
             name, value = instr.payload
             counters[name] += value
-            return (COUNTER, 0, 0, phase, cat, None, op, None)
-        elif op is op_shmem_ld or op is op_shmem_st:
-            count = instr.count
-            rec = (FIXED, count, count + shmem_lat, phase, cat, None, op,
-                   None)
-        elif op is op_sync:
-            rec = (SYNC, 1, 1, phase, cat, None, op, None)
-        elif op is op_nop:
-            rec = (FIXED, 1, 1, phase, cat, None, op, None)
+            return (fixed.get((op, 0, phase))
+                    or fixed_record(op, 0, phase))
         elif op in _UNIT_OPS:
             if not has_unit:
                 raise SimulationError(
                     f"{op.name} issued but the kernel was launched "
                     "without a hardware unit")
-            rec = (UNIT, 1, 0, phase, cat, None, op, instr.payload)
+            rec = (UNIT, 1, 0, phase, stall_of[op], None, op,
+                   instr.payload)
+        elif (op is op_alu or op is op_shmem_ld or op is op_shmem_st
+              or op is op_sync or op is op_nop):
+            count = instr.count
+            rec = (fixed.get((op, count, phase))
+                   or fixed_record(op, count, phase))
         else:
             raise SimulationError(f"unknown opcode {op!r}")
         op_counts[op] += 1
@@ -415,12 +444,14 @@ class GPU:
         access = mem.access
         core_time = [0] * cfg.num_cores
         issued = 0
-        push = heapq.heappush
-        pop = heapq.heappop
+        # The heap holds each core with unfinished warps once, keyed by
+        # its next issue time; the core at the top issues, then is
+        # re-keyed in place (or dropped once its warps are done).
+        replace = heapq.heapreplace
         while heap:
             if prof_on:
                 sched_start = perf_counter()
-            t, core_id = pop(heap)
+            t, core_id = heap[0]
             warps = cores[core_id]
             # One pass finds the first minimal-ready running warp
             # (strict < keeps the slot-order tie-break).
@@ -450,7 +481,9 @@ class GPU:
                                                     wait)
                         w.state = _RUNNING
                         w.ready = release
-                    push(heap, (release, core_id))
+                    replace(heap, (release, core_id))
+                else:
+                    heapq.heappop(heap)
                 if prof_on:
                     profiler.add("schedule", perf_counter() - sched_start)
                 continue
@@ -478,7 +511,9 @@ class GPU:
                 warp.state = _DONE
                 warp.source = None
                 if any(w.state != _DONE for w in warps):
-                    push(heap, (t, core_id))
+                    replace(heap, (t, core_id))
+                else:
+                    heapq.heappop(heap)
                 if t > core_time[core_id]:
                     core_time[core_id] = t
                 if prof_on:
@@ -490,28 +525,27 @@ class GPU:
                 execute_start = perf_counter()
                 profiler.add("kernel", execute_start - kernel_gen_start)
 
-            rec = compile_instr(item) if live else item
-            kind = rec[0]
-            done = t + rec[2]
+            kind, issue, latency, phase, cat, lines, op, payload = (
+                compile_instr(item) if live else item)
+            done = t + latency
             if kind == LOAD:
-                done += access(core_id, None, None, t, rec[5])[0]
+                done += access(core_id, None, None, t, lines)[0]
             elif kind == STORE:
-                access(core_id, None, None, t, rec[5])
+                access(core_id, None, None, t, lines)
             elif kind == SYNC:
                 warp.state = _BARRIER
             elif kind == UNIT:
                 done, warp.response = units[core_id].handle(
-                    rec[6], warp.slot, t + 1, rec[7])
+                    op, warp.slot, t + 1, payload)
             if prof_on:
                 account_start = perf_counter()
-                profiler.add_op(rec[6].name, account_start - execute_start)
+                profiler.add_op(op.name, account_start - execute_start)
             if kind != COUNTER:
                 if tracer is not None:
-                    tracer.record(t, core_id, warp.slot, rec[6], rec[3],
-                                  done)
+                    tracer.record(t, core_id, warp.slot, op, phase, done)
                 if dig_on:
-                    digester.note_issue(t, core_id, warp.slot, rec[6],
-                                        rec[3], done)
+                    digester.note_issue(t, core_id, warp.slot, op, phase,
+                                        done)
                 issued += 1
                 if issued > max_instructions:
                     raise SimulationError(
@@ -519,12 +553,12 @@ class GPU:
                         "likely a non-terminating kernel"
                     )
             warp.ready = done
-            warp.cat = rec[4]
-            warp.phase = rec[3]
-            t += rec[1]
+            warp.cat = cat
+            warp.phase = phase
+            t += issue
             if t > core_time[core_id]:
                 core_time[core_id] = t
-            push(heap, (t, core_id))
+            replace(heap, (t, core_id))
             if prof_on:
                 profiler.add("account", perf_counter() - account_start)
 

@@ -12,7 +12,7 @@ Work-ID calculation, Edge-information access, Gather & Sum).
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,11 @@ PHASE_LABELS = {
 class Instr:
     """One warp-wide instruction.
 
+    Instructions are never modified after construction, so the factories
+    below hand out one shared object for each payload-free instruction
+    (``alu``, ``shmem_load``, ``shmem_store``, ``sync``, ``nop``) and for
+    each counter bump.
+
     Attributes
     ----------
     op:
@@ -108,40 +113,59 @@ class Instr:
 # ----------------------------------------------------------------------
 # Factory helpers: kernels read far better with these than raw Instr().
 # ----------------------------------------------------------------------
+#: The shared instructions, keyed by factory name and arguments.
+_SHARED: Dict[Tuple, Instr] = {}
+
+
+def _shared(key: Tuple, op: Op, phase: Phase, count: int = 1,
+            payload: Optional[Any] = None) -> Instr:
+    instr = _SHARED[key] = Instr(op, phase, count=count, payload=payload)
+    return instr
+
+
+# An enum member lookup costs about half as much as building the Instr
+# itself; the per-call factories read their opcodes from these globals.
+_LOAD, _STORE, _ATOMIC = Op.LOAD, Op.STORE, Op.ATOMIC
+
+
 def alu(phase: Phase, count: int = 1) -> Instr:
     """``count`` back-to-back arithmetic ops."""
-    return Instr(Op.ALU, phase, count=count)
+    key = ("alu", phase, count)
+    return _SHARED.get(key) or _shared(key, Op.ALU, phase, count)
 
 
 def load(phase: Phase, region: Any, indices: Any) -> Instr:
     """Global-memory load of ``region[indices]`` across active lanes."""
-    return Instr(Op.LOAD, phase, region=region, indices=indices)
+    return Instr(_LOAD, phase, region, indices)
 
 
 def store(phase: Phase, region: Any, indices: Any) -> Instr:
     """Global-memory store to ``region[indices]``."""
-    return Instr(Op.STORE, phase, region=region, indices=indices)
+    return Instr(_STORE, phase, region, indices)
 
 
 def shmem_load(phase: Phase, count: int = 1) -> Instr:
     """Shared-memory read (``count`` accesses)."""
-    return Instr(Op.SHMEM_LOAD, phase, count=count)
+    key = ("shmem_load", phase, count)
+    return _SHARED.get(key) or _shared(key, Op.SHMEM_LOAD, phase, count)
 
 
 def shmem_store(phase: Phase, count: int = 1) -> Instr:
     """Shared-memory write (``count`` accesses)."""
-    return Instr(Op.SHMEM_STORE, phase, count=count)
+    key = ("shmem_store", phase, count)
+    return _SHARED.get(key) or _shared(key, Op.SHMEM_STORE, phase, count)
 
 
 def atomic(phase: Phase, region: Any, indices: Any) -> Instr:
     """Atomic read-modify-write on ``region[indices]``; conflicting
     lanes (same element) serialize."""
-    return Instr(Op.ATOMIC, phase, region=region, indices=indices)
+    return Instr(_ATOMIC, phase, region, indices)
 
 
 def sync(phase: Phase) -> Instr:
     """Core-wide barrier (all resident warps must arrive)."""
-    return Instr(Op.SYNC, phase)
+    key = ("sync", phase)
+    return _SHARED.get(key) or _shared(key, Op.SYNC, phase)
 
 
 def weaver_reg(phase: Phase, entries: Any) -> Instr:
@@ -180,12 +204,15 @@ def eghw_fetch(phase: Phase) -> Instr:
 
 def counter(name: str, value: int = 1) -> Instr:
     """Zero-cost statistics counter bump (not a hardware instruction)."""
-    return Instr(Op.COUNTER, Phase.OTHER, payload=(name, value))
+    key = ("counter", name, value)
+    return _SHARED.get(key) or _shared(key, Op.COUNTER, Phase.OTHER,
+                                       payload=(name, value))
 
 
 def nop(phase: Phase = Phase.OTHER) -> Instr:
     """One idle issue slot."""
-    return Instr(Op.NOP, phase)
+    key = ("nop", phase)
+    return _SHARED.get(key) or _shared(key, Op.NOP, phase)
 
 
 def as_index_array(indices: Any) -> np.ndarray:

@@ -4,9 +4,9 @@ Kernels never fabricate raw addresses; they allocate named
 :class:`Region` objects from a :class:`MemoryMap` (one per kernel
 environment) and issue loads/stores as ``(region, element indices)``.
 The hierarchy converts lane indices to cache lines, walks L1 -> L2 ->
-(L3) -> DRAM per line, and returns the instruction's latency under the
-coalescing model of DESIGN.md §5: worst-level latency plus a per-extra-
-line throughput charge.
+(L3) -> DRAM level by level, and returns the instruction's latency
+under the coalescing model of DESIGN.md §5: worst-level latency plus a
+per-extra-line throughput charge.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ from repro.obs.provenance import get_digester
 from repro.sim.cache import Cache, publish_cache_metrics
 from repro.sim.config import GPUConfig
 from repro.sim.stats import CacheStats
+
+# The process-global observers, bound once: ``access`` runs per warp
+# memory instruction.
+_PROFILER = get_profiler()
+_DIGESTER = get_digester()
 
 
 class Region:
@@ -112,12 +117,16 @@ class MemoryHierarchy:
         self._dram_free = 0
         self._timing = (
             config.l1.hit_latency,
-            config.l2.hit_latency if config.l2 is not None else 0,
-            config.l3.hit_latency if config.l3 is not None else 0,
             config.dram_latency_cycles,
             config.dram_service_cycles,
             config.line_throughput,
         )
+        #: The shared levels below the L1s, in walk order, with their
+        #: hit latencies.
+        self._shared = tuple(
+            (cache, cache.config.hit_latency)
+            for cache in (self.l2, self.l3) if cache is not None)
+        self._line_maps: Dict[Region, np.ndarray] = {}
         if self.l2 is not None and config.l2.line_bytes != config.l1.line_bytes:
             raise ConfigError("all cache levels must share one line size")
         if self.l3 is not None and config.l3.line_bytes != config.l1.line_bytes:
@@ -126,16 +135,20 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def lines_for(self, region: Region, indices: np.ndarray) -> List[int]:
         """Ascending unique cache lines touched by ``region[indices]``."""
-        if indices.size <= 64:
-            # Warp-sized accesses dominate; a python-set dedup beats
-            # np.unique at this size.
-            base = region.base
-            its = region.itemsize
-            shift = self._line_shift
-            return sorted({(base + v * its) >> shift
-                           for v in indices.tolist()})
-        addrs = region.base + indices * region.itemsize
-        return np.unique(addrs >> self._line_shift).tolist()
+        if indices.size == 1:
+            # Single-lane accesses are the most common kind (S_vm's
+            # hub tails): plain integer arithmetic beats any gather.
+            return [(region.base + indices.item() * region.itemsize)
+                    >> self._line_shift]
+        line_map = self._line_maps.get(region)
+        if line_map is None:
+            # The line of every element of the region: built on first
+            # use, then kept for this hierarchy's lifetime.
+            addrs = (region.base
+                     + np.arange(region.length, dtype=np.int64)
+                     * region.itemsize)
+            line_map = self._line_maps[region] = addrs >> self._line_shift
+        return sorted(set(line_map[indices].tolist()))
 
     def access(
         self, core_id: int, region: Optional[Region],
@@ -144,10 +157,11 @@ class MemoryHierarchy:
     ) -> Tuple[int, int]:
         """Charge a coalesced warp access at time ``now``.
 
-        Walks L1 -> L2 -> (L3) -> DRAM for each line of
-        ``region[indices]`` — or of ``lines``, the ascending unique
+        Walks L1 -> L2 -> (L3) -> DRAM with the lines of
+        ``region[indices]`` — or with ``lines``, the ascending unique
         lines, when the caller compiled them already (``region`` and
-        ``indices`` are then unused). Returns ``(latency_cycles,
+        ``indices`` are then unused). Each level takes the lines the
+        level above missed, in order. Returns ``(latency_cycles,
         num_lines)``: the worst per-line latency plus
         ``line_throughput`` cycles for each line beyond the first
         (memory pipeline serialization).
@@ -161,7 +175,7 @@ class MemoryHierarchy:
         """
         if not 0 <= core_id < len(self.l1):
             raise SimulationError(f"core id {core_id} out of range")
-        profiler = get_profiler()
+        profiler = _PROFILER
         prof_on = profiler.enabled
         if prof_on:
             start = perf_counter()
@@ -171,31 +185,32 @@ class MemoryHierarchy:
         nlines = len(lines)
         total = 0
         if nlines:
-            l1_lat, l2_lat, l3_lat, dram_lat, service, line_tp = \
-                self._timing
-            l1 = self.l1[core_id]
-            l2, l3 = self.l2, self.l3
-            worst = 0
-            for line in lines:
-                if l1.lookup(line):
-                    latency = l1_lat
-                elif l2 is not None and l2.lookup(line):
-                    latency = l2_lat
-                elif l3 is not None and l3.lookup(line):
-                    latency = l3_lat
-                else:
-                    self.dram_accesses += 1
-                    fill = self._dram_free
-                    if now > fill:
-                        fill = now
-                    self._dram_free = fill + service
-                    latency = (fill - now) + dram_lat
+            l1_lat, dram_lat, service, line_tp = self._timing
+            misses = self.l1[core_id].access(lines)
+            worst = l1_lat if len(misses) < nlines else 0
+            for cache, latency in self._shared:
+                if not misses:
+                    break
+                missed = cache.access(misses)
+                if len(missed) < len(misses) and latency > worst:
+                    worst = latency
+                misses = missed
+            if misses:
+                # The controller serves fills back to back: the first
+                # starts when both it and the request are ready, and
+                # the last one waits longest.
+                count = len(misses)
+                self.dram_accesses += count
+                first = self._dram_free
+                if now > first:
+                    first = now
+                self._dram_free = first + count * service
+                latency = first + (count - 1) * service - now + dram_lat
                 if latency > worst:
                     worst = latency
             total = worst + (nlines - 1) * line_tp
-            digester = get_digester()
-            if digester.enabled:
-                digester.note_mem(now, core_id, nlines, total)
+            if _DIGESTER.enabled:
+                _DIGESTER.note_mem(now, core_id, nlines, total)
         if prof_on:
             profiler.add("mem/access", perf_counter() - start)
             if self.dram_accesses > fills:
