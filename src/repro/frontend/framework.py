@@ -72,9 +72,11 @@ class GraphProcessor:
         wall-clock span per kernel launch — init, gather and apply per
         iteration — each carrying simulated cycles and breakdowns as
         span args.  ``exec_tracer`` (a
-        :class:`repro.sim.trace.ExecutionTracer`) is handed to every
-        kernel launch to capture the simulated-cycle instruction/stall
-        timeline.  Both default to off and add no per-instruction work.
+        :class:`repro.sim.trace.ExecutionTracer`, or any
+        :class:`repro.obs.observer.SimObserver`) watches every kernel
+        launch, replayed or live, to capture the simulated-cycle
+        instruction/stall timeline.  Both default to off and add no
+        per-instruction work.
 
         ``engine`` selects the simulator execution engine by name
         (``reference``, ``fast``, ``auto``, or any registered engine;
@@ -136,34 +138,24 @@ class GraphProcessor:
         # and replays it on later launches.  The gather kernel is only
         # eligible when its instruction stream cannot depend on state
         # the kernel itself mutates (``trace_safe`` schedules, no
-        # filters / early exit) and nothing forces the per-instruction
-        # loop (hardware units, execution tracers).  During the trace
+        # filters / early exit) and it has no hardware unit, whose
+        # replies steer the stream.  During the trace
         # drain a recording ``edge_update`` captures argument tuples
         # instead of mutating state; every replay re-executes them in
         # issue order, so float accumulation order matches reference.
         # Init/apply are grid-stride elementwise kernels, so a replay
-        # GPU can compile their traces analytically (contiguous
-        # per-warp index ranges) and never needs the warp generators;
-        # an execution tracer forces the reference loop, which does.
-        fast_elementwise = (gpu.supports_replay
-                            and self.exec_tracer is None)
-        if fast_elementwise:
-            init_hint = ReplayHint("init", elementwise=(
-                [],
-                [env.region(name) for name in _vertex_sized_arrays(env)],
-                1, Phase.INIT, env.num_vertices))
-            apply_hint = ReplayHint("apply", elementwise=(
-                [env.region(alg.acc_array),
-                 env.region(alg.result_array)],
-                [env.region(alg.result_array),
-                 env.region(alg.acc_array)],
-                alg.apply_alu, Phase.APPLY, env.num_vertices))
-        else:
-            init_hint = ReplayHint("init")
-            apply_hint = ReplayHint("apply")
+        # GPU compiles their traces analytically (contiguous per-warp
+        # index ranges) and never needs the warp generators.
+        init_hint = ReplayHint("init", elementwise=(
+            [],
+            [env.region(name) for name in _vertex_sized_arrays(env)],
+            1, Phase.INIT, env.num_vertices))
+        apply_hint = ReplayHint("apply", elementwise=(
+            [env.region(alg.acc_array), env.region(alg.result_array)],
+            [env.region(alg.result_array), env.region(alg.acc_array)],
+            alg.apply_alu, Phase.APPLY, env.num_vertices))
         fast_gather = (
             gpu.supports_replay
-            and self.exec_tracer is None
             and self.schedule.trace_safe
             and not self.schedule.uses_hardware_unit
             and not (alg.has_base_filter or alg.has_other_filter
@@ -190,7 +182,7 @@ class GraphProcessor:
             with self.tracer.span("init", cat="kernel",
                                   schedule=self.schedule.name) as sp:
                 init_stats = gpu.run_kernel(
-                    None if fast_elementwise
+                    None if gpu.supports_replay
                     else _init_kernel_factory(env),
                     flush_caches=flush_caches,
                     tracer=self.exec_tracer,
@@ -247,8 +239,7 @@ class GraphProcessor:
                                       iteration=iterations,
                                       schedule=self.schedule.name) as sp:
                     apply_stats = gpu.run_kernel(
-                        None if (fast_elementwise
-                                 or gpu.has_trace("apply"))
+                        None if gpu.supports_replay
                         else _apply_kernel_factory(env),
                         tracer=self.exec_tracer,
                         replay=apply_hint,

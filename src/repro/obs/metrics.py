@@ -25,7 +25,9 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
+
+from repro.obs.observer import SimObserver, register
 
 #: Sorted ``(key, value)`` pairs — the hashable form of a label set.
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -190,7 +192,7 @@ class Histogram:
 
 
 # ----------------------------------------------------------------------
-class MetricsRegistry:
+class MetricsRegistry(SimObserver):
     """Named instruments plus snapshot/merge for process aggregation."""
 
     def __init__(self, enabled: bool = True) -> None:
@@ -308,15 +310,9 @@ class MetricsRegistry:
                     dst["count"] += series.get("count", 0)
 
     # ------------------------------------------------------------------
-    def publish_kernel_stats(self, stats) -> None:
-        """Fold one :class:`~repro.sim.stats.KernelStats` into counters.
-
-        Called by :meth:`repro.sim.gpu.GPU.run_kernel` at kernel end so
-        the simulator's per-run accounting and the registry share one
-        export path without touching the issue loop.
-        """
-        if not self.enabled:
-            return
+    def end_kernel(self, stats, cache_deltas) -> None:
+        """Fold a finished kernel into counters: the registry's only
+        simulator event, so metrics add nothing per instruction."""
         self.counter("sim_kernels_total",
                      "Kernels simulated").inc()
         self.counter("sim_cycles_total",
@@ -333,6 +329,15 @@ class MetricsRegistry:
                               "Cycles by execution phase")
         for phase, cycles in stats.phase_cycles.items():
             phases.inc(cycles, phase=phase.name)
+        self.counter("sim_dram_accesses_total",
+                     "DRAM line fills").inc(stats.dram_accesses)
+        cache = self.counter("sim_cache_accesses_total",
+                             "Cache accesses by level and outcome")
+        for level, (hits, misses) in cache_deltas.items():
+            if hits:
+                cache.inc(hits, level=level, outcome="hit")
+            if misses:
+                cache.inc(misses, level=level, outcome="miss")
 
     def save(self, path) -> Path:
         """Write :meth:`snapshot` as JSON; returns the path written."""
@@ -369,9 +374,9 @@ def _format_labels(key: LabelSet) -> str:
 # ----------------------------------------------------------------------
 # Process-global default registry
 # ----------------------------------------------------------------------
-_REGISTRY = MetricsRegistry(
+_REGISTRY = register(MetricsRegistry(
     enabled=bool(os.environ.get("REPRO_OBS", "").strip())
-)
+))
 
 
 def get_registry() -> MetricsRegistry:

@@ -6,16 +6,12 @@ wall-time** — where the pure-Python simulator actually spends the
 seconds — so optimization work on the interpreter starts from a
 measurement instead of a guess.  Three layers:
 
-* :class:`PhaseProfiler` — enter/exit hooks compiled into the
-  simulator hot path (:mod:`repro.sim.gpu` warp scheduling and
-  execute, :mod:`repro.sim.memory` / :mod:`repro.sim.cache` lookups)
-  accumulate wall-seconds and call counts per phase, plus per-opcode
-  execute-time histograms and a derived
-  ``simulated_cycles_per_wall_second`` per kernel.  Disabled by
-  default: every hook is behind a single local truth test, so cycle
-  counts stay bit-identical and the overhead is one comparison per
-  instrumented section.  Enable with ``REPRO_PROFILE=1`` or
-  :func:`enable_profiling`.
+* :class:`PhaseProfiler` — a simulator observer that reads the clock
+  once per event: wall-seconds and call counts per phase (``setup``,
+  per-opcode ``execute``, ``finalize``), per-opcode execute-time
+  histograms and a derived ``simulated_cycles_per_wall_second`` per
+  kernel.  Disabled by default, and then never bound to a launch.
+  Enable with ``REPRO_PROFILE=1`` or :func:`enable_profiling`.
 * :class:`StackSampler` — an opt-in wall-clock sampler of the main
   thread (a daemon thread polling ``sys._current_frames()``; a
   ``sys.setprofile``/``sys.monitoring`` hook would slow the
@@ -51,6 +47,7 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import get_registry, percentile_from_counts
+from repro.obs.observer import SimObserver, register
 
 #: Environment switch; any non-empty value enables the profiler.
 PROFILE_ENV = "REPRO_PROFILE"
@@ -91,19 +88,21 @@ OP_BUCKETS: Tuple[float, ...] = (
     5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 1e-3, 1e-2,
 )
 
-#: Phase-name convention: names containing ``/`` (``mem/access``,
-#: ``mem/dram``) are *nested* inside a top-level phase and are excluded
-#: from the coverage total, so wall-time is never double-counted.
+#: Phase-name convention: names containing ``/`` (``fast/trace``,
+#: ``stats/merge``, ``mem/dram``) are *nested* and are excluded from
+#: the coverage total, so wall-time is never double-counted.
 NESTED_SEP = "/"
 
 
-class PhaseProfiler:
+class PhaseProfiler(SimObserver):
     """Wall-time and call-count accumulation per simulator phase.
 
-    Phases are flat named accumulators; the hot path calls
-    :meth:`add` / :meth:`add_op` only when :attr:`enabled` is true
-    (callers hoist the check into a local), so a disabled profiler
-    costs nothing and cannot perturb simulated cycle counts.
+    Phases are flat named accumulators. As an observer it reads the
+    clock once per ``begin_kernel``, ``issue`` and ``end_kernel``:
+    ``setup`` runs from launch to the first issue, each later issue
+    charges the time since the previous one to its opcode
+    (``execute``; the flamegraph splits it finer), and ``finalize``
+    runs from the last issue to the kernel's end.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -118,9 +117,40 @@ class PhaseProfiler:
         #: Last totals folded into the metrics registry, so per-kernel
         #: publication ships deltas, never double-counts.
         self._published: Dict[str, Tuple[float, float]] = {}
+        #: The running launch's start and latest clock reads.
+        self._start = self._last = 0.0
+        self._setup = False
 
     # ------------------------------------------------------------------
-    # hot-path accumulation
+    # simulator events
+    # ------------------------------------------------------------------
+    def begin_kernel(self) -> None:
+        """A launch starts: open its ``setup`` phase."""
+        self._start = self._last = perf_counter()
+        self._setup = True
+
+    def issue(self, t, core, warp, op, phase, done) -> None:
+        """Charge the time since the previous issue (or, first, to
+        ``setup``)."""
+        now = perf_counter()
+        seconds = now - self._last
+        self._last = now
+        if self._setup:
+            self._setup = False
+            self.add("setup", seconds)
+        else:
+            self.add_op(op.name, seconds)
+
+    def end_kernel(self, stats, cache_deltas) -> None:
+        """Close the launch: ``finalize``, DRAM fills, kernel totals."""
+        now = perf_counter()
+        self.add("finalize", now - self._last)
+        if stats.dram_accesses:  # count-only: the DRAM fill rate
+            self.add("mem/dram", 0.0, calls=stats.dram_accesses)
+        self.add_kernel(stats.total_cycles, now - self._start)
+
+    # ------------------------------------------------------------------
+    # accumulation
     # ------------------------------------------------------------------
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         """Accumulate one timed section into phase ``name``."""
@@ -146,8 +176,9 @@ class PhaseProfiler:
         cell[1] += 1
         cell[2][bisect_left(OP_BUCKETS, seconds)] += 1
 
-    def end_kernel(self, cycles: int, wall_seconds: float) -> None:
-        """Close one kernel: derived metrics + registry publication."""
+    def add_kernel(self, cycles: int, wall_seconds: float) -> None:
+        """Count one finished kernel: derived metrics + registry
+        publication."""
         self.kernels += 1
         self.sim_cycles += int(cycles)
         self.sim_wall_seconds += wall_seconds
@@ -341,15 +372,15 @@ class PhaseProfiler:
 
 
 # ----------------------------------------------------------------------
-# Process-global profiler (the instance the simulator hooks use)
+# Process-global profiler (watches every launch while enabled)
 # ----------------------------------------------------------------------
-_PROFILER = PhaseProfiler(
+_PROFILER = register(PhaseProfiler(
     enabled=bool(os.environ.get(PROFILE_ENV, "").strip())
-)
+))
 
 
 def get_profiler() -> PhaseProfiler:
-    """The process-global profiler the simulator hot path consults."""
+    """The process-global profiler."""
     return _PROFILER
 
 
@@ -381,12 +412,8 @@ def disable_profiling(clear: bool = False) -> PhaseProfiler:
 
 @contextmanager
 def phase(name: str):
-    """Time one non-hot-path section into the global profiler.
-
-    A no-op (one truth test) when profiling is disabled; hot loops
-    should hoist ``get_profiler().enabled`` into a local and call
-    :meth:`PhaseProfiler.add` directly instead.
-    """
+    """Time one section outside the event loop into the global
+    profiler; a no-op (one truth test) when profiling is disabled."""
     if not _PROFILER.enabled:
         yield
         return

@@ -6,12 +6,10 @@ fleet worker against a serial run — a pass/fail cycle comparison says
 *that* they diverged but not *where*.  This module makes the "where"
 cheap to capture and mechanical to find:
 
-* :class:`StateDigester` — guarded hooks in the simulator hot path
-  (:mod:`repro.sim.gpu` issue/stall accounting and per-kernel cache
-  counts, :mod:`repro.sim.memory` accesses, :mod:`repro.sim.stats`
-  merges) fold architectural state into **rolling 64-bit digests**, one
-  stream per ``(core, warp)`` closed every ``interval_cycles`` simulated
-  cycles.  The result is a per-job **digest ledger**: an ordered list of
+* :class:`StateDigester` — a simulator observer (plus
+  :mod:`repro.sim.stats` merges) that folds architectural state into
+  **rolling 64-bit digests**, one stream per ``(core, warp)`` closed
+  every ``interval_cycles`` simulated cycles.  The result is a per-job **digest ledger**: an ordered list of
   ``[kernel, interval, core, warp, digest, events]`` records small
   enough to ride inside a :class:`~repro.runtime.cache.RunSummary`,
   through the run journal, the result cache and the fleet protocol.
@@ -20,10 +18,8 @@ cheap to capture and mechanical to find:
   whose digests disagree, which is exactly the first simulated interval
   at which the two executions stopped being the same machine.
 
-Same guard discipline as :class:`~repro.obs.profile.PhaseProfiler`:
-disabled (``REPRO_DIGEST`` unset) every hook is one local truth test,
-no clock reads, no allocation — simulated cycle counts and summary
-dicts are bit-identical with or without the module imported.  Digests
+Disabled (``REPRO_DIGEST`` unset), the digester is bound to no launch,
+so cycle counts and summary dicts are bit-identical either way.  Digests
 fold only *simulated* values (times, opcodes, latencies, counts), so an
 enabled digester never perturbs cycles either; it can only observe.
 
@@ -48,6 +44,8 @@ from __future__ import annotations
 
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.observer import SimObserver, register
 
 #: Environment switch; any non-empty value enables digest capture.
 DIGEST_ENV = "REPRO_DIGEST"
@@ -97,15 +95,11 @@ def resolve_interval(value: Optional[int] = None) -> int:
     return DEFAULT_INTERVAL
 
 
-class StateDigester:
+class StateDigester(SimObserver):
     """Rolling per-interval digests of simulated architectural state.
 
-    The simulator calls :meth:`note_issue` / :meth:`note_stall` /
-    :meth:`note_mem` only after hoisting
-    :attr:`enabled` into a local (the PhaseProfiler guard discipline),
-    so a disabled digester costs one comparison per instrumented
-    section and a job's summary is byte-identical to one produced
-    before this module existed.
+    Bound to a launch's issue, stall, memory and kernel events only
+    while :attr:`enabled`, so a disabled digester costs nothing.
     """
 
     def __init__(self, enabled: bool = False,
@@ -137,15 +131,12 @@ class StateDigester:
         self._kernel += 1
 
     def end_kernel(self, stats,
-                   cache_counts: Optional[Dict[str, Tuple[int, int]]] = None
-                   ) -> None:
+                   cache_deltas: Dict[str, Tuple[int, int]]) -> None:
         """Close the kernel: flush streams, emit its summary record.
 
         ``stats`` is the kernel's :class:`~repro.sim.stats.KernelStats`
-        (duck-typed; only plain counters are read), captured after the
-        engine folded stall cells and per-kernel cache/DRAM deltas.
-        ``cache_counts`` maps cache levels (``"L1"``, ``"L2"``, ...) to
-        the kernel's ``(hits, misses)`` there.
+        (only plain counters are read); ``cache_deltas`` maps cache
+        levels (``"L1"``, ``"L2"``, ...) to its ``(hits, misses)``.
         """
         self._flush_streams()
         h = _FNV_OFFSET
@@ -165,7 +156,7 @@ class StateDigester:
         # versions.
         for level, (hits, misses) in sorted(
                 ("mem/" + name.lower(), counts)
-                for name, counts in (cache_counts or {}).items()
+                for name, counts in cache_deltas.items()
                 if counts != (0, 0)):
             for ch in level.encode("utf-8"):
                 h = fold(h, ch)
@@ -189,7 +180,7 @@ class StateDigester:
         return records or None
 
     # ------------------------------------------------------------------
-    # hot-path notes (call only with ``enabled`` hoisted true)
+    # simulator events
     # ------------------------------------------------------------------
     def _stream(self, core: int, warp: int, t: int) -> List[int]:
         """The open interval cell for ``(core, warp)`` at time ``t``."""
@@ -207,8 +198,8 @@ class StateDigester:
             cell[2] = 0
         return cell
 
-    def note_issue(self, t: int, core: int, warp: int, op: int,
-                   phase: int, done: int) -> None:
+    def issue(self, t: int, core: int, warp: int, op: int,
+              phase: int, done: int) -> None:
         """Fold one issued instruction into the warp's stream."""
         cell = self._stream(core, warp, t)
         h = cell[1]
@@ -220,8 +211,8 @@ class StateDigester:
         cell[1] = h
         cell[2] += 1
 
-    def note_stall(self, t: int, core: int, warp: int, cat: int,
-                   cycles: int) -> None:
+    def stall(self, t: int, core: int, warp: int, cat: int,
+              cycles: int) -> None:
         """Fold one attributed stall gap into the warp's stream."""
         cell = self._stream(core, warp, t)
         h = cell[1]
@@ -232,8 +223,8 @@ class StateDigester:
         cell[1] = h
         cell[2] += 1
 
-    def note_mem(self, t: int, core: int, lines: int,
-                 latency: int) -> None:
+    def mem(self, t: int, core: int, lines: int,
+            latency: int) -> None:
         """Fold one coalesced memory access into the core's stream."""
         cell = self._stream(core, -1, t)
         h = cell[1]
@@ -263,11 +254,11 @@ class StateDigester:
 
 
 # ----------------------------------------------------------------------
-# Process-global digester (the instance the simulator hooks use)
+# Process-global digester (watches every launch while enabled)
 # ----------------------------------------------------------------------
-_DIGESTER = StateDigester(
+_DIGESTER = register(StateDigester(
     enabled=bool(os.environ.get(DIGEST_ENV, "").strip())
-)
+))
 
 
 def get_digester() -> StateDigester:
@@ -284,14 +275,17 @@ def enable_digests(interval_cycles: Optional[int] = None
                    ) -> StateDigester:
     """Turn the global digester on; returns it for convenience.
 
-    Also exports ``REPRO_DIGEST=1`` (and the interval override, when
-    given) so worker processes spawned later — pool or fleet — come up
-    digesting, and the ledgers they ship home are comparable.
+    The interval is ``interval_cycles`` when given, else
+    :func:`resolve_interval`'s environment override or default — never
+    one left behind by an earlier call. Also exports ``REPRO_DIGEST=1``
+    (and the interval override, when given) so worker processes
+    spawned later — pool or fleet — come up digesting, and the ledgers
+    they ship home are comparable.
     """
     _DIGESTER.enabled = True
     os.environ[DIGEST_ENV] = "1"
+    _DIGESTER.interval_cycles = resolve_interval(interval_cycles)
     if interval_cycles is not None:
-        _DIGESTER.interval_cycles = max(1, int(interval_cycles))
         os.environ[INTERVAL_ENV] = str(_DIGESTER.interval_cycles)
     return _DIGESTER
 
@@ -458,14 +452,14 @@ def ledgers_from_cache_dir(path) -> Dict[str, Dict[str, Any]]:
 # ----------------------------------------------------------------------
 # Replay support
 # ----------------------------------------------------------------------
-class KernelWindowTracer:
+class KernelWindowTracer(SimObserver):
     """An :class:`~repro.sim.trace.ExecutionTracer` gate for one kernel.
 
     ``repro diff --replay`` re-runs a job recording only the diverging
-    kernel: the simulator's duck-typed ``begin_kernel`` notification
-    advances the launch counter, and instruction/stall events delegate
-    to the wrapped tracer only while the counter matches ``target`` —
-    full per-cycle capture of one kernel without paying for the rest.
+    kernel: each ``begin_kernel`` event advances the launch counter,
+    and issue/stall events delegate to the wrapped tracer only while
+    the counter matches ``target`` — full per-cycle capture of one
+    kernel without paying for the rest.
     """
 
     def __init__(self, target: int, max_events: int = 200_000) -> None:
@@ -476,7 +470,7 @@ class KernelWindowTracer:
         self.inner = ExecutionTracer(max_events=max_events)
 
     def begin_kernel(self) -> None:
-        """Duck-typed launch notification from ``GPU.run_kernel``."""
+        """A launch starts: advance the launch counter."""
         self.kernel += 1
 
     @property
@@ -484,10 +478,10 @@ class KernelWindowTracer:
         """Whether events are currently being captured."""
         return self.kernel == self.target
 
-    def record(self, time, core, warp, op, phase, done) -> None:
+    def issue(self, time, core, warp, op, phase, done) -> None:
         if self.kernel == self.target:
-            self.inner.record(time, core, warp, op, phase, done)
+            self.inner.issue(time, core, warp, op, phase, done)
 
-    def record_stall(self, time, core, warp, cat, cycles) -> None:
+    def stall(self, time, core, warp, cat, cycles) -> None:
         if self.kernel == self.target:
-            self.inner.record_stall(time, core, warp, cat, cycles)
+            self.inner.stall(time, core, warp, cat, cycles)

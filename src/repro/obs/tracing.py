@@ -200,7 +200,7 @@ def execution_trace_events(exec_tracer, pid_base: int = 1000,
     """
     events: List[Dict[str, Any]] = []
     cores = sorted({e.core for e in exec_tracer.events}
-                   | {s.core for s in getattr(exec_tracer, "stalls", [])})
+                   | {s.core for s in exec_tracer.stalls})
     for core in cores:
         events.append({
             "ph": "M", "name": "process_name", "pid": pid_base + core,
@@ -221,7 +221,7 @@ def execution_trace_events(exec_tracer, pid_base: int = 1000,
             "pid": pid, "tid": e.warp,
             "args": {"warp": e.warp, "core": e.core},
         })
-    for s in getattr(exec_tracer, "stalls", []):
+    for s in exec_tracer.stalls:
         pid = pid_base + s.core
         tid = 100 + int(s.cat)
         if (pid, tid) not in named:

@@ -88,18 +88,3 @@ class Cache:
             f"{self.config.ways}-way, occ={self.occupancy})"
         )
 
-
-def publish_cache_metrics(registry, level: str, hits: int,
-                          misses: int) -> None:
-    """Fold one level's per-kernel hit/miss delta into a registry.
-
-    The ``sim_cache_accesses_total{level,outcome}`` counter is the
-    registry-side view of :class:`~repro.sim.stats.CacheStats`; the
-    memory hierarchy publishes deltas at kernel end.
-    """
-    counter = registry.counter("sim_cache_accesses_total",
-                               "Cache accesses by level and outcome")
-    if hits:
-        counter.inc(hits, level=level, outcome="hit")
-    if misses:
-        counter.inc(misses, level=level, outcome="miss")

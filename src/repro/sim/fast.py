@@ -26,20 +26,20 @@ Cycle counts, stall cells, cache stats and provenance ledgers are
 bit-identical to the reference engine by construction: both run the
 same loop and memory walk over the same records.
 
-Kernels the fast path does not cover (hardware-unit schedules,
-execution tracers, filtered/early-exit algorithms — their streams read
-kernel-mutated state) run live per launch and increment
-``sim_engine_fallback_total``.
+Observers (execution tracers too) see replayed launches exactly as live
+ones, so traced runs replay. Hardware-unit kernels (reason ``unit``)
+and launches without a hint (``no_hint``: filtered/early-exit
+algorithms, whose streams read kernel-mutated state) run live and
+increment ``sim_engine_fallback_total``.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.obs.metrics import get_registry
-from repro.obs.profile import get_profiler
+from repro.obs.profile import phase as _host_phase
 from repro.sim.gpu import (COUNTER, FIXED, GPU, LOAD, STORE, SYNC,
                            KernelRecords, Tally, WarpContext)
 from repro.sim.instructions import Op
@@ -90,35 +90,29 @@ class FastGPU(GPU):
         """Whether a kernel trace is already stored under ``key``."""
         return key in self._traces
 
-    def _stored_records(self, warp_factory, unit_factory, tracer, replay,
+    def _stored_records(self, warp_factory, unit_factory, replay,
                         max_instructions) -> Optional[KernelRecords]:
         """Stored records for a hinted launch, draining them first if
         needed; ``None`` (live) for launches the store cannot serve.
 
         Hardware-unit launches reply through ``generator.send`` (their
-        streams are response-dependent) and execution tracers want the
-        generators themselves, so both run live.
+        streams are response-dependent), so they run live.
         """
-        if replay is None or unit_factory is not None or tracer is not None:
-            reason = ("unit" if unit_factory is not None
-                      else "tracer" if tracer is not None else "no_hint")
+        if replay is None or unit_factory is not None:
             get_registry().counter(
                 "sim_engine_fallback_total",
                 "Kernels the fast engine delegated to the reference loop",
-            ).inc(reason=reason)
+            ).inc(reason="unit" if unit_factory is not None else "no_hint")
             return None
         trace = self._traces.get(replay.key)
         if trace is None:
-            profiler = get_profiler()
-            start = perf_counter() if profiler.enabled else 0.0
-            if replay.elementwise is not None:
-                trace = self._trace_elementwise(replay.elementwise)
-            else:
-                trace = self._trace(warp_factory, replay,
-                                    max_instructions)
+            with _host_phase("fast/trace"):
+                if replay.elementwise is not None:
+                    trace = self._trace_elementwise(replay.elementwise)
+                else:
+                    trace = self._trace(warp_factory, replay,
+                                        max_instructions)
             self._traces[replay.key] = trace
-            if profiler.enabled:
-                profiler.add("fast/trace", perf_counter() - start)
         return trace
 
     # ------------------------------------------------------------------

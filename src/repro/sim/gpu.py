@@ -25,28 +25,25 @@ instruction is first compiled into a flat *record* by
 category, deduplicated cache lines, atomic conflict surcharge). A warp
 feeds the loop from one of two sources. A *live* warp runs its
 generator and compiles each instruction as it is yielded — every
-reference launch, hardware-unit kernels and execution-traced launches.
-A *replayed* warp reads the records a
-:class:`~repro.sim.fast.FastGPU` stored when it first drained the
-kernel, re-applying the functional ``edge_update`` effects captured
-between them. Scheduling, barrier release, stall attribution and the
-memory walk are the same code for both sources, so the engines agree
-by construction.
+reference launch and every hardware-unit kernel. A *replayed* warp
+reads the records a :class:`~repro.sim.fast.FastGPU` stored when it
+first drained the kernel, re-applying the functional ``edge_update``
+effects captured between them. Scheduling, barrier release, stall
+attribution, the memory walk and the observer events
+(:mod:`repro.obs.observer`) are the same code for both sources, so the
+engines agree by construction — execution traces included.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs.metrics import get_registry
-from repro.obs.profile import get_profiler
-from repro.obs.provenance import get_digester
+from repro.obs.observer import launch_observers
 from repro.sim.config import GPUConfig
 from repro.sim.instructions import Instr, Op, Phase, as_index_array
 from repro.sim.memory import MemoryHierarchy
@@ -332,7 +329,7 @@ class GPU:
         drain both compile through it."""
         return instr_compiler(self.config, self.memory, tally, has_unit)
 
-    def _stored_records(self, warp_factory, unit_factory, tracer, replay,
+    def _stored_records(self, warp_factory, unit_factory, replay,
                         max_instructions) -> Optional[KernelRecords]:
         """Records this launch replays, or ``None`` to run it live.
 
@@ -367,6 +364,10 @@ class GPU:
             Invalidate caches before the kernel (cold-start runs).
         max_instructions:
             Safety valve against runaway kernels.
+        tracer:
+            Optional :class:`~repro.obs.observer.SimObserver` (such as a
+            :class:`~repro.sim.trace.ExecutionTracer`) that watches this
+            launch alongside the enabled process-global observers.
         replay:
             Optional :class:`repro.sim.fast.ReplayHint`.  A GPU with a
             record store (:meth:`_stored_records`) replays the records
@@ -376,38 +377,24 @@ class GPU:
         """
         cfg = self.config
         mem = self.memory
-        stored = self._stored_records(warp_factory, unit_factory, tracer,
-                                      replay, max_instructions)
+        stored = self._stored_records(warp_factory, unit_factory, replay,
+                                      max_instructions)
         if flush_caches:
             mem.flush()
         mem.begin_kernel()
         stats = KernelStats()
         dram_before = mem.dram_accesses
-        # Duck-typed: tracers predating stall attribution only expose
-        # ``record``.
-        record_stall = getattr(tracer, "record_stall", None)
-        registry = get_registry()
-        # Host-side profiler: every hook below hides behind this one
-        # local truth test, so a disabled profiler costs one comparison
-        # per section and reads no clocks — simulated cycle counts are
-        # bit-identical either way (perf_counter never feeds the sim).
-        profiler = get_profiler()
-        prof_on = profiler.enabled
-        kernel_start = perf_counter() if prof_on else 0.0
-        # Provenance digester: same guard discipline. Folds only
-        # simulated values (never host time), so even enabled it can't
-        # perturb cycles — it just records what they were.
-        digester = get_digester()
-        dig_on = digester.enabled
-        if dig_on:
-            digester.begin_kernel()
-        cache_before = (mem.cache_counts() if registry.enabled or dig_on
-                        else None)
-        # Duck-typed kernel-launch notification for window tracers
-        # (``repro diff --replay`` records only one kernel).
-        tracer_begin = getattr(tracer, "begin_kernel", None)
-        if tracer_begin is not None:
-            tracer_begin()
+        # Observers are bound once per launch; every event site below
+        # is one truth test on its tuple, so an unwatched event costs
+        # nothing else and never feeds back into simulated time.
+        observers = launch_observers(tracer)
+        on_issue = observers.issue
+        on_stall = observers.stall
+        on_end = observers.end_kernel
+        mem.on_mem = observers.mem
+        for note in observers.begin_kernel:
+            note()
+        cache_before = mem.cache_counts() if on_end else None
 
         cores: List[List[_Warp]] = []
         units: Dict[int, Any] = {}
@@ -436,8 +423,6 @@ class GPU:
         for core_id, warps in enumerate(cores):
             if warps:
                 heapq.heappush(heap, (0, core_id))
-        if prof_on:
-            profiler.add("setup", perf_counter() - kernel_start)
 
         stall_cells = stats.stall_cells
         phase_cycles = stats.phase_cycles
@@ -449,8 +434,6 @@ class GPU:
         # re-keyed in place (or dropped once its warps are done).
         replace = heapq.heapreplace
         while heap:
-            if prof_on:
-                sched_start = perf_counter()
             t, core_id = heap[0]
             warps = cores[core_id]
             # One pass finds the first minimal-ready running warp
@@ -472,20 +455,15 @@ class GPU:
                         if wait:
                             stall_cells[
                                 (core_id, w.slot, StallCat.SYNC)] += wait
-                            if record_stall is not None:
-                                record_stall(w.ready, core_id, w.slot,
-                                             StallCat.SYNC, wait)
-                            if dig_on:
-                                digester.note_stall(w.ready, core_id,
-                                                    w.slot, StallCat.SYNC,
-                                                    wait)
+                            if on_stall:
+                                for note in on_stall:
+                                    note(w.ready, core_id, w.slot,
+                                         StallCat.SYNC, wait)
                         w.state = _RUNNING
                         w.ready = release
                     replace(heap, (release, core_id))
                 else:
                     heapq.heappop(heap)
-                if prof_on:
-                    profiler.add("schedule", perf_counter() - sched_start)
                 continue
 
             if best > t:
@@ -495,15 +473,10 @@ class GPU:
                 # kernel end, keeping the hot path at one increment.
                 stall_cells[(core_id, warp.slot, warp.cat)] += gap
                 phase_cycles[warp.phase] += gap
-                if record_stall is not None:
-                    record_stall(t, core_id, warp.slot, warp.cat, gap)
-                if dig_on:
-                    digester.note_stall(t, core_id, warp.slot, warp.cat,
-                                        gap)
+                if on_stall:
+                    for note in on_stall:
+                        note(t, core_id, warp.slot, warp.cat, gap)
                 t = best
-            if prof_on:
-                kernel_gen_start = perf_counter()
-                profiler.add("schedule", kernel_gen_start - sched_start)
 
             try:
                 item = warp.source.send(warp.response)
@@ -516,14 +489,8 @@ class GPU:
                     heapq.heappop(heap)
                 if t > core_time[core_id]:
                     core_time[core_id] = t
-                if prof_on:
-                    profiler.add("kernel",
-                                 perf_counter() - kernel_gen_start)
                 continue
             warp.response = None
-            if prof_on:
-                execute_start = perf_counter()
-                profiler.add("kernel", execute_start - kernel_gen_start)
 
             kind, issue, latency, phase, cat, lines, op, payload = (
                 compile_instr(item) if live else item)
@@ -537,15 +504,10 @@ class GPU:
             elif kind == UNIT:
                 done, warp.response = units[core_id].handle(
                     op, warp.slot, t + 1, payload)
-            if prof_on:
-                account_start = perf_counter()
-                profiler.add_op(op.name, account_start - execute_start)
             if kind != COUNTER:
-                if tracer is not None:
-                    tracer.record(t, core_id, warp.slot, op, phase, done)
-                if dig_on:
-                    digester.note_issue(t, core_id, warp.slot, op, phase,
-                                        done)
+                if on_issue:
+                    for note in on_issue:
+                        note(t, core_id, warp.slot, op, phase, done)
                 issued += 1
                 if issued > max_instructions:
                     raise SimulationError(
@@ -559,10 +521,8 @@ class GPU:
             if t > core_time[core_id]:
                 core_time[core_id] = t
             replace(heap, (t, core_id))
-            if prof_on:
-                profiler.add("account", perf_counter() - account_start)
 
-        finalize_start = perf_counter() if prof_on else 0.0
+        mem.on_mem = ()
         for core_id, warps in enumerate(cores):
             pending = [w for w in warps if w.state == _BARRIER]
             if pending:
@@ -579,14 +539,8 @@ class GPU:
             stats.stall_cycles[cat] += cycles
         stats.cache = mem.cache_stats()
         stats.dram_accesses = mem.dram_accesses - dram_before
-        if registry.enabled:
-            registry.publish_kernel_stats(stats)
-            mem.publish_metrics(registry, cache_before,
-                                stats.dram_accesses)
-        if prof_on:
-            end = perf_counter()
-            profiler.add("finalize", end - finalize_start)
-            profiler.end_kernel(stats.total_cycles, end - kernel_start)
-        if dig_on:
-            digester.end_kernel(stats, mem.cache_deltas(cache_before))
+        if on_end:
+            cache_deltas = mem.cache_deltas(cache_before)
+            for note in on_end:
+                note(stats, cache_deltas)
         return stats

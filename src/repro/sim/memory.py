@@ -11,22 +11,14 @@ per-extra-line throughput charge.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.obs.profile import get_profiler
-from repro.obs.provenance import get_digester
-from repro.sim.cache import Cache, publish_cache_metrics
+from repro.sim.cache import Cache
 from repro.sim.config import GPUConfig
 from repro.sim.stats import CacheStats
-
-# The process-global observers, bound once: ``access`` runs per warp
-# memory instruction.
-_PROFILER = get_profiler()
-_DIGESTER = get_digester()
 
 
 class Region:
@@ -127,6 +119,9 @@ class MemoryHierarchy:
             (cache, cache.config.hit_latency)
             for cache in (self.l2, self.l3) if cache is not None)
         self._line_maps: Dict[Region, np.ndarray] = {}
+        #: Bound ``mem`` observer events of the running launch (set by
+        #: ``GPU.run_kernel``; see :mod:`repro.obs.observer`).
+        self.on_mem: tuple = ()
         if self.l2 is not None and config.l2.line_bytes != config.l1.line_bytes:
             raise ConfigError("all cache levels must share one line size")
         if self.l3 is not None and config.l3.line_bytes != config.l1.line_bytes:
@@ -175,11 +170,6 @@ class MemoryHierarchy:
         """
         if not 0 <= core_id < len(self.l1):
             raise SimulationError(f"core id {core_id} out of range")
-        profiler = _PROFILER
-        prof_on = profiler.enabled
-        if prof_on:
-            start = perf_counter()
-            fills = self.dram_accesses
         if lines is None:
             lines = self.lines_for(region, indices)
         nlines = len(lines)
@@ -209,15 +199,9 @@ class MemoryHierarchy:
                 if latency > worst:
                     worst = latency
             total = worst + (nlines - 1) * line_tp
-            if _DIGESTER.enabled:
-                _DIGESTER.note_mem(now, core_id, nlines, total)
-        if prof_on:
-            profiler.add("mem/access", perf_counter() - start)
-            if self.dram_accesses > fills:
-                # Count-only phase: the fill *rate* is what a
-                # vectorized memory model must reproduce.
-                profiler.add("mem/dram", 0.0,
-                             calls=self.dram_accesses - fills)
+            if self.on_mem:
+                for note in self.on_mem:
+                    note(now, core_id, nlines, total)
         return total, nlines
 
     # ------------------------------------------------------------------
@@ -235,39 +219,16 @@ class MemoryHierarchy:
         return merged
 
     def cache_counts(self) -> Dict[str, Tuple[int, int]]:
-        """Cumulative ``(hits, misses)`` per merged level.
-
-        The delta baseline for per-kernel metrics publication — cache
-        tag state (and so its counters) persists across kernels on one
-        GPU, but metrics want per-kernel increments.
-        """
+        """Cumulative ``(hits, misses)`` per merged level."""
         return {name: (cs.hits, cs.misses)
                 for name, cs in self.cache_stats().items()}
 
-    def cache_deltas(self, before: Optional[Dict[str, Tuple[int, int]]]
+    def cache_deltas(self, before: Dict[str, Tuple[int, int]]
                      ) -> Dict[str, Tuple[int, int]]:
         """Per-level ``(hits, misses)`` since the ``before`` snapshot of
-        :meth:`cache_counts` (cache tag state and counters persist
-        across kernels; per-kernel views want the increments)."""
-        before = before or {}
-        deltas = {}
-        for name, (hits, misses) in self.cache_counts().items():
-            prev_hits, prev_misses = before.get(name, (0, 0))
-            deltas[name] = (hits - prev_hits, misses - prev_misses)
-        return deltas
-
-    def publish_metrics(self, registry, before=None,
-                        dram_accesses: int = 0) -> None:
-        """Fold this kernel's memory traffic into a metrics registry.
-
-        ``before`` is the :meth:`cache_counts` snapshot taken at kernel
-        start; counters receive only the delta.
-        """
-        registry.counter(
-            "sim_dram_accesses_total", "DRAM line fills"
-        ).inc(dram_accesses)
-        for name, (hits, misses) in self.cache_deltas(before).items():
-            publish_cache_metrics(registry, name, hits, misses)
+        :meth:`cache_counts` (cache state persists across kernels)."""
+        return {name: (hits - before[name][0], misses - before[name][1])
+                for name, (hits, misses) in self.cache_counts().items()}
 
     def begin_kernel(self) -> None:
         """Reset the controller timeline — kernel clocks start at 0."""

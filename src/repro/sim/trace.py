@@ -3,10 +3,10 @@
 Attach an :class:`ExecutionTracer` to ``GPU.run_kernel(tracer=...)`` to
 record every issued instruction — (time, core, warp, op, phase,
 completion) — and every attributed stall gap — (time, core, warp,
-stall class, cycles). Used for debugging kernels, for the
-pipeline-diagram style inspection the SimX simulator offers, and as
-the simulated-cycle source for Chrome trace export
-(:func:`repro.obs.tracing.execution_trace_events`).
+stall class, cycles) — the same stream for live and replayed launches.
+Used for debugging kernels, for the pipeline-diagram style inspection
+the SimX simulator offers, and as the simulated-cycle source for
+Chrome trace export (:func:`repro.obs.tracing.execution_trace_events`).
 
 Both event streams are bounded; when a bound is hit the tracer warns
 once and counts everything it drops, so a truncated trace is always
@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.obs.observer import SimObserver
 from repro.sim.instructions import Op, Phase
 from repro.sim.stats import StallCat
 
@@ -51,7 +52,7 @@ class StallEvent:
     cycles: int
 
 
-class ExecutionTracer:
+class ExecutionTracer(SimObserver):
     """Bounded in-memory instruction + stall trace."""
 
     def __init__(self, max_events: int = 100_000) -> None:
@@ -72,8 +73,8 @@ class ExecutionTracer:
             RuntimeWarning, stacklevel=3,
         )
 
-    def record(self, time: int, core: int, warp: int, op: Op,
-               phase: Phase, done: int) -> None:
+    def issue(self, time: int, core: int, warp: int, op: Op,
+              phase: Phase, done: int) -> None:
         """Append one instruction event (drops beyond the bound)."""
         if len(self.events) >= self.max_events:
             self.dropped += 1
@@ -81,8 +82,8 @@ class ExecutionTracer:
             return
         self.events.append(TraceEvent(time, core, warp, op, phase, done))
 
-    def record_stall(self, time: int, core: int, warp: int,
-                     cat: StallCat, cycles: int) -> None:
+    def stall(self, time: int, core: int, warp: int,
+              cat: StallCat, cycles: int) -> None:
         """Append one stall event (drops beyond the bound)."""
         if len(self.stalls) >= self.max_events:
             self.dropped_stalls += 1

@@ -111,31 +111,50 @@ _PARITY_SCHEDULES = ("vertex_map", "edge_map", "warp_map", "cta_map",
     for algorithm in ("pagerank", "bfs", "sssp", "cc")
     for schedule in _PARITY_SCHEDULES])
 def test_fast_engine_bit_identical(algorithm, schedule):
-    """Cycles, stall cells, summary dicts, values and digest ledgers
-    match the reference engine exactly — the tentpole guarantee.
+    """Cycles, stall cells, summary dicts, values, digest ledgers and
+    execution traces match the reference engine exactly — the tentpole
+    guarantee.
 
-    PageRank gathers replay stored records; BFS/SSSP/CC gathers read
-    state they mutate and run live (``no_hint``), as does every
-    ``sparseweaver`` gather (``unit``)."""
+    PageRank gathers replay stored records, with a tracer attached
+    too; BFS/SSSP/CC gathers read state they mutate and run live
+    (``no_hint``), as does every ``sparseweaver`` gather (``unit``)."""
     from repro.algorithms import make_algorithm
+    from repro.obs.metrics import (disable_metrics, enable_metrics,
+                                   metrics_enabled)
     from repro.obs.provenance import (digests_enabled, disable_digests,
                                       enable_digests)
+    from repro.sim.trace import ExecutionTracer
 
     graph = dataset("bio-human", scale=0.1)
     results = {}
     ledgers = {}
+    tracers = {}
     assert not digests_enabled()
+    metrics_were_on = metrics_enabled()
+    registry = enable_metrics()
+    registry.clear()
     try:
         for engine in ("reference", "fast"):
             digester = enable_digests()
             digester.begin_job()
+            tracers[engine] = ExecutionTracer(max_events=1_000_000)
             proc = GraphProcessor(
                 make_algorithm(algorithm), schedule=schedule,
-                config=GPUConfig.vortex_bench(), engine=engine)
+                config=GPUConfig.vortex_bench(), engine=engine,
+                exec_tracer=tracers[engine])
             results[engine] = proc.run(graph, max_iterations=2)
             ledgers[engine] = digester.take_ledger()
+        fallbacks = registry.counter("sim_engine_fallback_total")
+        assert fallbacks.value(reason="tracer") == 0
+        if algorithm == "pagerank" and schedule != "sparseweaver":
+            # Every fast launch replayed: none fell back at all.
+            assert fallbacks.value(reason="no_hint") == 0
+            assert fallbacks.value(reason="unit") == 0
     finally:
         disable_digests(clear=True)
+        registry.clear()
+        if not metrics_were_on:
+            disable_metrics()
     ref, fast = results["reference"], results["fast"]
     assert fast.total_cycles == ref.total_cycles
     assert fast.iterations == ref.iterations
@@ -144,6 +163,10 @@ def test_fast_engine_bit_identical(algorithm, schedule):
     assert (fast.values == ref.values).all()
     assert ledgers["reference"]
     assert ledgers["fast"] == ledgers["reference"]
+    assert tracers["reference"].events
+    assert tracers["reference"].dropped == 0
+    assert tracers["fast"].events == tracers["reference"].events
+    assert tracers["fast"].stalls == tracers["reference"].stalls
 
 
 # ----------------------------------------------------------------- fallback

@@ -65,8 +65,8 @@ def test_coverage_excludes_nested_phases():
     p = PhaseProfiler(enabled=True)
     p.add("execute", 0.6)
     p.add("schedule", 0.3)
-    p.add("mem/access", 0.5)  # nested inside execute: not re-counted
-    p.end_kernel(cycles=1000, wall_seconds=1.0)
+    p.add("fast/trace", 0.5)  # nested: not re-counted
+    p.add_kernel(cycles=1000, wall_seconds=1.0)
     assert p.coverage() == pytest.approx(0.9)
     assert p.cycles_per_wall_second() == pytest.approx(1000.0)
 
@@ -78,7 +78,7 @@ def test_summary_orders_phases_and_computes_op_percentiles():
     for _ in range(99):
         p.add_op("LOAD", 2e-6)
     p.add_op("LOAD", 5e-3)
-    p.end_kernel(cycles=10, wall_seconds=0.2)
+    p.add_kernel(cycles=10, wall_seconds=0.2)
     data = p.summary()
     assert data["phases"][0]["phase"] == "schedule"
     (op,) = data["ops"]
@@ -95,7 +95,7 @@ def test_snapshot_merge_round_trip():
     a = PhaseProfiler(enabled=True)
     a.add("schedule", 0.5, calls=7)
     a.add_op("LOAD", 3e-6)
-    a.end_kernel(cycles=500, wall_seconds=1.0)
+    a.add_kernel(cycles=500, wall_seconds=1.0)
     b = PhaseProfiler(enabled=True)
     b.merge_snapshot(json.loads(json.dumps(a.snapshot())))
     b.merge_snapshot(a.snapshot())
@@ -141,9 +141,9 @@ def test_end_kernel_publishes_deltas_to_metrics():
     try:
         p = PhaseProfiler(enabled=True)
         p.add("schedule", 1.0, calls=10)
-        p.end_kernel(cycles=100, wall_seconds=2.0)
+        p.add_kernel(cycles=100, wall_seconds=2.0)
         p.add("schedule", 0.5, calls=5)
-        p.end_kernel(cycles=100, wall_seconds=1.0)
+        p.add_kernel(cycles=100, wall_seconds=1.0)
         seconds = registry.counter("sim_profile_phase_seconds_total")
         # Deltas, not totals: two publications must not double-count.
         assert seconds.value(phase="schedule") == pytest.approx(1.5)

@@ -78,18 +78,18 @@ def test_same_event_stream_same_digest():
     for d in (a, b):
         d.begin_job()
         d.begin_kernel()
-        d.note_issue(5, 0, 0, 7, 1, 3)
-        d.note_stall(9, 0, 0, 2, 4)
-        d.note_mem(6, 0, 2, 40)
+        d.issue(5, 0, 0, 7, 1, 3)
+        d.stall(9, 0, 0, 2, 4)
+        d.mem(6, 0, 2, 40)
     la, lb = a.take_ledger(), b.take_ledger()
     assert la == lb
     # One changed event value changes the digest.
     c = StateDigester(enabled=True)
     c.begin_job()
     c.begin_kernel()
-    c.note_issue(5, 0, 0, 7, 1, 4)  # done differs
-    c.note_stall(9, 0, 0, 2, 4)
-    c.note_mem(6, 0, 2, 40)
+    c.issue(5, 0, 0, 7, 1, 4)  # done differs
+    c.stall(9, 0, 0, 2, 4)
+    c.mem(6, 0, 2, 40)
     assert c.take_ledger() != la
 
 
@@ -97,9 +97,9 @@ def test_interval_rollover_closes_cells():
     d = StateDigester(enabled=True, interval_cycles=10)
     d.begin_job()
     d.begin_kernel()
-    d.note_issue(3, 0, 1, 7, 0, 0)    # interval 0
-    d.note_issue(7, 0, 1, 7, 0, 0)    # still interval 0
-    d.note_issue(25, 0, 1, 7, 0, 0)   # interval 2 -> closes interval 0
+    d.issue(3, 0, 1, 7, 0, 0)    # interval 0
+    d.issue(7, 0, 1, 7, 0, 0)    # still interval 0
+    d.issue(25, 0, 1, 7, 0, 0)   # interval 2 -> closes interval 0
     ledger = d.take_ledger()
     warp_records = [r for r in ledger if r[3] == 1]
     assert [(r[1], r[5]) for r in warp_records] == [(0, 2), (2, 1)]
@@ -113,7 +113,7 @@ def test_take_ledger_resets_and_returns_none_when_empty():
     d.begin_job()
     assert d.take_ledger() is None
     d.begin_kernel()
-    d.note_issue(1, 0, 0, 7, 0, 0)
+    d.issue(1, 0, 0, 7, 0, 0)
     assert d.take_ledger() is not None
     assert d.take_ledger() is None  # drained
 
@@ -139,6 +139,18 @@ def test_enable_disable_roundtrip_exports_env():
     assert not digests_enabled()
     assert DIGEST_ENV not in os.environ
 
+
+
+def test_enable_without_interval_resolves_afresh():
+    """A bare ``enable_digests()`` takes the environment or default
+    interval, never one an earlier call left behind."""
+    enable_digests(interval_cycles=512)
+    disable_digests()
+    os.environ.pop(INTERVAL_ENV, None)
+    assert enable_digests().interval_cycles == DEFAULT_INTERVAL
+    disable_digests()
+    os.environ[INTERVAL_ENV] = "2048"
+    assert enable_digests().interval_cycles == 2048
 
 # ---------------------------------------------------------- diffing
 def test_sort_key_orders_summaries_after_streams():
@@ -317,16 +329,16 @@ def test_kernel_window_tracer_gates_on_target():
     window = KernelWindowTracer(target=1, max_events=100)
     assert not window.active
     window.begin_kernel()        # kernel 0
-    window.record(1, 0, 0, 7, 0, 0)
-    window.record_stall(2, 0, 0, 1, 3)
+    window.issue(1, 0, 0, 7, 0, 0)
+    window.stall(2, 0, 0, 1, 3)
     assert not window.inner.events and not window.inner.stalls
     window.begin_kernel()        # kernel 1: capture window opens
     assert window.active
-    window.record(5, 0, 0, 7, 0, 0)
-    window.record_stall(6, 0, 0, 1, 3)
+    window.issue(5, 0, 0, 7, 0, 0)
+    window.stall(6, 0, 0, 1, 3)
     assert len(window.inner.events) == 1
     assert len(window.inner.stalls) == 1
     window.begin_kernel()        # kernel 2: window closed again
     assert not window.active
-    window.record(9, 0, 0, 7, 0, 0)
+    window.issue(9, 0, 0, 7, 0, 0)
     assert len(window.inner.events) == 1

@@ -105,7 +105,7 @@ def test_aggregate_mixed_directory(tmp_path):
     profiler = PhaseProfiler(enabled=True)
     profiler.add("execute", 0.6)
     profiler.add("mem/l1", 0.2)
-    profiler.end_kernel(cycles=2000, wall_seconds=1.0)
+    profiler.add_kernel(cycles=2000, wall_seconds=1.0)
     profile = profiler.save(tmp_path / "profile.json")
 
     report = aggregate([tele, empty, metrics, profile])
@@ -133,7 +133,7 @@ def test_aggregate_two_profiles_merge(tmp_path):
     for i, sec in enumerate((0.25, 0.75)):
         p = PhaseProfiler(enabled=True)
         p.add("execute", sec)
-        p.end_kernel(cycles=100, wall_seconds=sec)
+        p.add_kernel(cycles=100, wall_seconds=sec)
         p.save(tmp_path / f"p{i}.json")
     report = aggregate(sorted(tmp_path.glob("p*.json")))
     host = report["host_profile"]

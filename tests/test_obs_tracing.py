@@ -105,19 +105,28 @@ def test_combined_trace_serializes(tmp_path):
     assert "kernel" in cats and "stall" in cats
 
 
-def test_record_stall_duck_typing():
-    """Objects with only ``record`` still work as kernel tracers."""
+def test_partial_observer_gets_only_what_it_overrides():
+    """An observer overriding only ``issue`` receives every issued
+    instruction, and none of its other events is bound."""
+    from repro.obs.observer import SimObserver, bind
 
-    class LegacyTracer:
+    class IssueCounter(SimObserver):
         def __init__(self):
             self.calls = 0
 
-        def record(self, *a):
+        def issue(self, t, core, warp, op, phase, done):
             self.calls += 1
 
-    legacy = LegacyTracer()
-    run_single(make_algorithm("pagerank", iterations=1),
-               powerlaw_graph(60, 240, seed=5), "vertex_map",
-               config=GPUConfig.vortex_tiny(), max_iterations=1,
-               exec_tracer=legacy)
-    assert legacy.calls > 0
+    counter = IssueCounter()
+    bound = bind([counter])
+    assert bound.issue == (counter.issue,)
+    assert not (bound.begin_kernel or bound.stall or bound.mem
+                or bound.end_kernel)
+    for engine in ("reference", "fast"):
+        counter.calls = 0
+        result = run_single(make_algorithm("pagerank", iterations=1),
+                            powerlaw_graph(60, 240, seed=5), "vertex_map",
+                            config=GPUConfig.vortex_tiny(),
+                            max_iterations=1, exec_tracer=counter,
+                            engine=engine)
+        assert counter.calls == result.stats.instructions > 0
